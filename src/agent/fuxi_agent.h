@@ -129,7 +129,7 @@ class FuxiAgent : public sim::Actor {
 
  private:
   /// Commits one kAgentKill decision record (no-op when detached or
-  /// compiled out).
+  /// when the log is disabled).
   void AuditKill(AppId app, uint32_t slot_id, const char* cause);
 
   struct CapacityEntry {

@@ -50,13 +50,12 @@ uint64_t ReplayDigest(const CampaignResult& result) {
 /// The standard SLO rule set every campaign runs under: one rule per
 /// degradation mode the paper's operators watched for. Declarative
 /// policy over the telemetry series the cluster publishes; with
-/// telemetry compiled out AddRule is a no-op and the whole set folds
-/// away. Thresholds are deliberately conservative — a firing is a
+/// observability off the sampler never ticks, so no rule is evaluated.
+/// Thresholds are deliberately conservative — a firing is a
 /// degradation signal, not a failure — and every series watched is
 /// virtual-time deterministic, so the event log replays byte-identically
 /// from a seed.
-template <typename Watchdog>
-void InstallStandardSloRules(Watchdog& watchdog) {
+void InstallStandardSloRules(obs::SloWatchdog& watchdog) {
   obs::SloRule starvation;
   starvation.name = "demand-starvation";
   starvation.series = "master.request_backlog";
@@ -293,9 +292,7 @@ CampaignResult RunCampaign(uint64_t seed, const CampaignConfig& config) {
     apps.back()->StartMaster();
   }
   // fuxi::planner workload: gang apps whose single stage is an
-  // all-or-nothing worker set with a lifetime estimate. Under
-  // FUXI_PLANNER=0 builds the hints are dropped at the scheduler
-  // boundary and these run as ordinary apps.
+  // all-or-nothing worker set with a lifetime estimate.
   for (int i = 0; i < config.planner_apps; ++i) {
     AppId app_id(2000 + i);
     runtime::SyntheticStage stage;
@@ -491,8 +488,7 @@ CampaignResult RunCampaign(uint64_t seed, const CampaignConfig& config) {
   result.fault_log = engine.LogDump();
   result.trace = trace.str();
   result.metrics_csv = obs::MetricsToCsv(cluster.obs().metrics);
-  if (cluster.obs().telemetry.active() &&
-      cluster.obs().telemetry.samples_taken() > 0) {
+  if (cluster.obs().telemetry.samples_taken() > 0) {
     result.telemetry_json = obs::ExportTelemetryJson(
         cluster.obs().telemetry, cluster.obs().watchdog);
     result.health_events = cluster.obs().watchdog.events();

@@ -33,8 +33,7 @@ struct CampaignConfig {
   /// a gang (all-or-nothing worker set with a lifetime estimate).
   /// Default 0 — the legacy campaigns and their golden digests never
   /// see a planner. Pair with plan.planner_faults for the planner
-  /// chaos scenario. Under FUXI_PLANNER=0 builds the hints are dropped
-  /// at the scheduler boundary and these apps run as legacy apps.
+  /// chaos scenario.
   int planner_apps = 0;
   /// Multi-tenant fair-share chaos: when > 0, every master is
   /// configured with a tenant tree of this many leaf tenants (depth
@@ -104,7 +103,7 @@ struct CampaignResult {
   /// Virtual-time telemetry dump (obs::ExportTelemetryJson): every
   /// sampled series delta-encoded plus the watchdog event log — the
   /// input for tools/fuxi_dash. Captured whenever the sampler ran;
-  /// empty when telemetry is compiled out or runtime-disabled. Like
+  /// empty when observability is off (ObsOptions::enabled). Like
   /// metrics_csv it is NOT folded into replay_digest: deterministic
   /// series are compared separately by the telemetry battery, and the
   /// dump also carries realtime-tagged (wall-clock) series.

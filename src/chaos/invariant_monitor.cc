@@ -60,15 +60,16 @@ void InvariantMonitor::Record(double now, const std::string& invariant,
   if (violations_.size() >= options_.max_violations) return;
   FUXI_LOG(kWarning) << "invariant violated at t=" << now << ": "
                      << invariant << " (" << detail << ")";
-  if (violations_.empty() && obs::kTracingEnabled) {
+  const obs::Observability& obs = cluster_->obs();
+  if (violations_.empty() && obs.trace.enabled()) {
     // Dump the flight recorder NOW, before the traffic that follows the
     // first failure overwrites the causal history that produced it.
-    trace_dump_ = obs::ExportChromeTrace(cluster_->obs().trace.Snapshot());
+    trace_dump_ = obs::ExportChromeTrace(obs.trace.Snapshot());
   }
-  if (violations_.empty() && obs::kAuditEnabled) {
+  if (violations_.empty() && obs.audit.enabled()) {
     // Same urgency for the decision audit: the ring must be frozen
     // before post-failure scheduling overwrites the decisions at fault.
-    audit_dump_ = obs::ExportAuditJson(cluster_->obs().audit.Snapshot());
+    audit_dump_ = obs::ExportAuditJson(obs.audit.Snapshot());
   }
   violations_.push_back(Violation{now, invariant, detail});
 }

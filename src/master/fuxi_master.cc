@@ -882,7 +882,7 @@ void FuxiMaster::SendShardStatus() {
 
 void FuxiMaster::AuditMachineEvent(MachineId machine,
                                    const std::string& note) {
-  if (!obs::AuditLog::enabled() || obs_ == nullptr) return;
+  if (obs_ == nullptr) return;
   obs::DecisionRecord rec;
   rec.kind = obs::DecisionKind::kMachineEvent;
   rec.machine = machine.value();

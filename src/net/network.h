@@ -325,8 +325,8 @@ class Network {
   Config* mutable_config() { return &config_; }
 
   /// Wires tracing and metrics in. Either may be null; hot paths guard
-  /// with one pointer test (and with tracing compiled out the recorder
-  /// calls are no-ops the optimizer removes entirely).
+  /// with one pointer test (a disabled recorder hands out span 0, which
+  /// Deliver treats as untraced).
   void SetObservability(obs::TraceRecorder* tracer,
                         obs::MetricsRegistry* metrics) {
     tracer_ = tracer;

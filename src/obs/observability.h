@@ -11,10 +11,16 @@
 namespace fuxi::obs {
 
 struct ObsOptions {
+  /// The one observability switch. When false the trace recorder
+  /// begins no spans, the audit log commits nothing and the telemetry
+  /// sampler never attaches; the metrics registry stays live. Either
+  /// way the simulation itself is unchanged (the neutrality battery in
+  /// tests/obs_neutrality_test.cc diffs replays with it on and off).
+  bool enabled = true;
   /// Completed spans retained by the flight recorder ring.
-  size_t trace_ring_capacity = TraceRecorderImpl::kDefaultRingCapacity;
+  size_t trace_ring_capacity = TraceRecorder::kDefaultRingCapacity;
   /// Decision records retained by the audit ring.
-  size_t audit_ring_capacity = AuditLogImpl::kDefaultCapacity;
+  size_t audit_ring_capacity = AuditLog::kDefaultCapacity;
   /// Virtual-time sampler + SLO watchdog configuration.
   TelemetryOptions telemetry;
 };
@@ -26,12 +32,12 @@ struct ObsOptions {
 /// network) so instruments outlive everything that points at them.
 struct Observability {
   explicit Observability(sim::Simulator* sim, const ObsOptions& options = {})
-      : trace(sim, options.trace_ring_capacity),
-        audit(sim, &trace, options.audit_ring_capacity),
+      : trace(sim, options.trace_ring_capacity, options.enabled),
+        audit(sim, &trace, options.audit_ring_capacity, options.enabled),
         telemetry(&metrics, options.telemetry),
         watchdog(&trace, &audit, options.telemetry.max_events) {
-    // Every sample tick runs the watchdog's rules; with telemetry
-    // compiled out both sides are no-ops and the lambda never fires.
+    // Every sample tick runs the watchdog's rules; with observability
+    // off the sampler is never polled and the lambda never fires.
     telemetry.SetOnSample(
         [this](double now) { watchdog.Evaluate(telemetry, now); });
   }

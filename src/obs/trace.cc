@@ -6,12 +6,12 @@
 
 namespace fuxi::obs {
 
-TraceRecorderImpl::TraceRecorderImpl(sim::Simulator* sim,
-                                     size_t ring_capacity)
-    : sim_(sim), flight_(ring_capacity) {}
+TraceRecorder::TraceRecorder(sim::Simulator* sim, size_t ring_capacity,
+                             bool enabled)
+    : sim_(sim), enabled_(enabled), flight_(ring_capacity) {}
 
-uint64_t TraceRecorderImpl::BeginSpan(const char* category,
-                                      const char* name) {
+uint64_t TraceRecorder::BeginSpan(const char* category, const char* name) {
+  if (!enabled_) return 0;
   SpanRecord span;
   span.id = next_id_++;
   span.parent = current_;
@@ -22,9 +22,10 @@ uint64_t TraceRecorderImpl::BeginSpan(const char* category,
   return span.id;
 }
 
-uint64_t TraceRecorderImpl::BeginMessageSpan(
+uint64_t TraceRecorder::BeginMessageSpan(
     const std::type_info& payload_type, int64_t from, int64_t to,
     uint64_t bytes) {
+  if (!enabled_) return 0;
   SpanRecord span;
   span.id = next_id_++;
   span.parent = current_;
@@ -38,15 +39,15 @@ uint64_t TraceRecorderImpl::BeginMessageSpan(
   return span.id;
 }
 
-void TraceRecorderImpl::EndSpan(uint64_t id, double wall_us) {
+void TraceRecorder::EndSpan(uint64_t id, double wall_us) {
   Finish(id, wall_us, /*dropped=*/false);
 }
 
-void TraceRecorderImpl::DropSpan(uint64_t id) {
+void TraceRecorder::DropSpan(uint64_t id) {
   Finish(id, /*wall_us=*/-1, /*dropped=*/true);
 }
 
-void TraceRecorderImpl::Finish(uint64_t id, double wall_us, bool dropped) {
+void TraceRecorder::Finish(uint64_t id, double wall_us, bool dropped) {
   if (id == 0) return;
   auto it = open_.find(id);
   if (it == open_.end()) return;  // double-end is a no-op
@@ -58,7 +59,7 @@ void TraceRecorderImpl::Finish(uint64_t id, double wall_us, bool dropped) {
   flight_.Push(span);
 }
 
-const char* TraceRecorderImpl::InternTypeName(const std::type_info& type) {
+const char* TraceRecorder::InternTypeName(const std::type_info& type) {
   auto it = names_.find(std::type_index(type));
   if (it == names_.end()) {
     it = names_
@@ -69,7 +70,7 @@ const char* TraceRecorderImpl::InternTypeName(const std::type_info& type) {
   return it->second->c_str();
 }
 
-void TraceRecorderImpl::Clear() {
+void TraceRecorder::Clear() {
   open_.clear();
   flight_.Clear();
   next_id_ = 1;

@@ -236,10 +236,8 @@ Status Scheduler::ApplyUnitDelta(AppId app, const UnitRequestDelta& delta,
     }
   }
 
-  // Planning hints (fuxi::planner). Under FUXI_PLANNER=0 they are
-  // ignored exactly like locality hints under the flat-queue ablation:
-  // the demand schedules greedily and the wire format is unchanged.
-  if (delta.has_plan && planner::ClusterPlanner::enabled()) {
+  // Planning hints (fuxi::planner).
+  if (delta.has_plan) {
     if (delta.plan.reservation && delta.plan.estimated_seconds <= 0) {
       return Status::InvalidArgument(
           "advance reservation requires a lifetime estimate");
@@ -1230,13 +1228,13 @@ void Scheduler::set_metrics(obs::MetricsRegistry* metrics) {
 }
 
 // ---------------------------------------------------------------------
-// fuxi::planner integration (DESIGN.md §12). Everything below is dead
-// code under FUXI_PLANNER=0: EnsurePlanner never constructs, so the
-// planner_ != nullptr guards sprinkled through the hot paths fold away.
+// fuxi::planner integration (DESIGN.md §12). EnsurePlanner runs only
+// for planning-hinted demands, so legacy traffic never constructs a
+// planner and the planner_ != nullptr guards in the hot paths stay false.
 // ---------------------------------------------------------------------
 
 void Scheduler::EnsurePlanner() {
-  if (!planner::ClusterPlanner::enabled() || planner_ != nullptr) return;
+  if (planner_ != nullptr) return;
   const std::vector<cluster::Machine>& machines = topology_->machines();
   std::vector<cluster::ResourceVector> capacities;
   std::vector<int64_t> rack_of;

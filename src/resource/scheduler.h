@@ -75,7 +75,7 @@ struct MachineState {
 ///
 /// The semantics (which demand wins which machine, in which order
 /// results are emitted) are specified by the reference oracle in
-/// reference_scheduler.h; tests/scheduler_differential_test.cc replays
+/// tests/reference_scheduler.h; tests/scheduler_differential_test.cc replays
 /// randomized operation streams through both and demands identical
 /// output at every step.
 struct SchedulerOptions {
@@ -237,10 +237,10 @@ class Scheduler {
   void set_metrics(obs::MetricsRegistry* metrics);
 
   /// Wires the decision-audit log in (null detaches). The audit layer
-  /// is strictly observational: with the log attached or detached (or
-  /// compiled out via FUXI_OBS_AUDIT=0) the scheduler emits byte-for-
-  /// byte identical SchedulingResult sequences — the decision-
-  /// neutrality contract, enforced by the differential suite.
+  /// is strictly observational: with the log attached, detached or
+  /// disabled the scheduler emits byte-for-byte identical
+  /// SchedulingResult sequences — the decision-neutrality contract,
+  /// enforced by the differential suite.
   void set_audit(obs::AuditLog* audit) {
     audit_ = audit;
     if (planner_ != nullptr) planner_->set_audit(audit);
@@ -317,15 +317,12 @@ class Scheduler {
   int64_t FitCount(const PendingDemand& demand, MachineState& state,
                    int64_t limit, obs::RejectReason* why = nullptr);
 
-  /// True when decision records should be assembled. Constant false in
-  /// FUXI_OBS_AUDIT=0 builds, so guarded assembly folds away.
-  bool auditing() const {
-    return obs::AuditLog::enabled() && audit_ != nullptr;
-  }
+  /// True when decision records should be assembled: a disabled log
+  /// would drop them, so assembly is skipped too.
+  bool auditing() const { return audit_ != nullptr && audit_->enabled(); }
 
-  // --- planner plumbing (all dead code when FUXI_PLANNER=0:
-  // ClusterPlanner::enabled() is constexpr false, so the planner is
-  // never constructed and every planner_ != nullptr guard folds) ------
+  // --- planner plumbing (the planner_ != nullptr guards are false for
+  // legacy traffic, which never constructs a planner) ------------------
 
   static planner::PlanKey PlanKeyOf(const SlotKey& key) {
     return planner::PlanKey{key.app.value(), key.slot_id};
@@ -417,7 +414,7 @@ class Scheduler {
   obs::AuditLog* audit_ = nullptr;
 
   /// The time-aware placement layer; null until a demand carries
-  /// planning hints (and always null under FUXI_PLANNER=0).
+  /// planning hints.
   std::unique_ptr<planner::ClusterPlanner> planner_;
   /// Where planner-committed grants land while a Tick is running.
   SchedulingResult* planner_result_ = nullptr;

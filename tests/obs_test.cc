@@ -69,18 +69,14 @@ TEST(MetricsRegistryTest, SnapshotBuildsPerInstrumentSeries) {
 }
 
 // --------------------------------------------------------- TraceRecorder
-//
-// These target TraceRecorderImpl directly, so they hold in both build
-// configurations (with FUXI_OBS_TRACING=0 only the production alias
-// switches to the no-op recorder; the real one still compiles).
 
 TEST(TraceRecorderTest, NestedScopesChainParents) {
   sim::Simulator sim;
-  TraceRecorderImpl rec(&sim);
+  TraceRecorder rec(&sim);
   uint64_t outer = rec.BeginSpan("test", "outer");
   uint64_t inner = 0;
   {
-    TraceRecorderImpl::Scope scope(&rec, outer);
+    TraceRecorder::Scope scope(&rec, outer);
     EXPECT_EQ(rec.current(), outer);
     inner = rec.BeginSpan("test", "inner");
     rec.EndSpan(inner);
@@ -101,8 +97,8 @@ TEST(TraceRecorderTest, NestedScopesChainParents) {
 TEST(TraceRecorderTest, IdsAreDeterministicAcrossRecorders) {
   sim::Simulator sim_a;
   sim::Simulator sim_b;
-  TraceRecorderImpl a(&sim_a);
-  TraceRecorderImpl b(&sim_b);
+  TraceRecorder a(&sim_a);
+  TraceRecorder b(&sim_b);
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(a.BeginSpan("t", "s"), b.BeginSpan("t", "s"));
   }
@@ -112,7 +108,7 @@ TEST(TraceRecorderTest, IdsAreDeterministicAcrossRecorders) {
 
 TEST(TraceRecorderTest, EndIsIdempotentAndDropFlags) {
   sim::Simulator sim;
-  TraceRecorderImpl rec(&sim);
+  TraceRecorder rec(&sim);
   uint64_t ended = rec.BeginSpan("t", "ended");
   uint64_t dropped = rec.BeginSpan("t", "dropped");
   rec.EndSpan(ended);
@@ -129,7 +125,7 @@ TEST(TraceRecorderTest, EndIsIdempotentAndDropFlags) {
 
 TEST(TraceRecorderTest, WallClockIsAnnotationOnly) {
   sim::Simulator sim;
-  TraceRecorderImpl rec(&sim);
+  TraceRecorder rec(&sim);
   uint64_t span = rec.BeginSpan("sched", "ApplyRequest");
   sim.Schedule(0.5, [] {});
   sim.RunToCompletion();
@@ -245,9 +241,6 @@ struct StrayRpc {};
 class NetworkTraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!kTracingEnabled) {
-      GTEST_SKIP() << "tracing compiled out (FUXI_OBS_TRACING=0)";
-    }
     network_ = std::make_unique<net::Network>(&sim_, net::Network::Config{});
     network_->SetObservability(&obs_.trace, &obs_.metrics);
     network_->Register(NodeId(1), &a_);
@@ -343,11 +336,11 @@ TEST_F(NetworkTraceTest, UnhandledPayloadsCountedPerType) {
 
 TEST(ExporterTest, ChromeTraceRoundTripsThroughJsonParser) {
   sim::Simulator sim;
-  TraceRecorderImpl rec(&sim);
+  TraceRecorder rec(&sim);
   uint64_t parent = rec.BeginMessageSpan(typeid(PingRpc), 1, 2, 128);
   uint64_t child = 0;
   {
-    TraceRecorderImpl::Scope scope(&rec, parent);
+    TraceRecorder::Scope scope(&rec, parent);
     child = rec.BeginSpan("sched", "ApplyRequest");
     rec.EndSpan(child, /*wall_us=*/42.0);
   }
@@ -457,25 +450,33 @@ TEST(ExporterTest, JsonEscapesMetricNamesAndRoundTrips) {
 // ------------------------------------------------ SimCluster integration
 
 TEST(ObsClusterTest, ClusterTrafficFillsInstruments) {
-  runtime::SimClusterOptions options;
-  options.topology.racks = 1;
-  options.topology.machines_per_rack = 2;
-  runtime::SimCluster cluster(options);
-  cluster.Start();
-  cluster.RunFor(5.0);
+  for (bool enabled : {true, false}) {
+    SCOPED_TRACE(enabled ? "obs on" : "obs off");
+    runtime::SimClusterOptions options;
+    options.topology.racks = 1;
+    options.topology.machines_per_rack = 2;
+    options.obs.enabled = enabled;
+    runtime::SimCluster cluster(options);
+    cluster.Start();
+    cluster.RunFor(5.0);
 
-  const MetricsRegistry& metrics = cluster.obs().metrics;
-  // Heartbeats alone push messages through the instrumented network.
-  EXPECT_GT(
-      cluster.obs().metrics.counters().at("net.messages_sent")->value(), 0u);
-  EXPECT_EQ(metrics.counters().at("net.messages_sent")->value(),
-            cluster.network().stats().messages_sent);
-  EXPECT_EQ(metrics.counters().at("master.elections")->value(), 1u);
-  if (kTracingEnabled) {
-    EXPECT_GT(cluster.obs().trace.spans_begun(), 0u);
-    EXPECT_FALSE(cluster.obs().trace.Snapshot().empty());
-  } else {
-    EXPECT_EQ(cluster.obs().trace.spans_begun(), 0u);
+    // Heartbeats alone push messages through the instrumented network;
+    // the metrics registry stays live with observability off.
+    const MetricsRegistry& metrics = cluster.obs().metrics;
+    EXPECT_GT(metrics.counters().at("net.messages_sent")->value(), 0u);
+    EXPECT_EQ(metrics.counters().at("net.messages_sent")->value(),
+              cluster.network().stats().messages_sent);
+    EXPECT_EQ(metrics.counters().at("master.elections")->value(), 1u);
+    if (enabled) {
+      EXPECT_GT(cluster.obs().trace.spans_begun(), 0u);
+      EXPECT_FALSE(cluster.obs().trace.Snapshot().empty());
+      EXPECT_GT(cluster.obs().telemetry.samples_taken(), 0);
+    } else {
+      EXPECT_EQ(cluster.obs().trace.spans_begun(), 0u);
+      EXPECT_TRUE(cluster.obs().trace.Snapshot().empty());
+      EXPECT_TRUE(cluster.obs().audit.Snapshot().empty());
+      EXPECT_EQ(cluster.obs().telemetry.samples_taken(), 0);
+    }
   }
 }
 
@@ -522,9 +523,6 @@ class ObsChaosTest : public ::testing::Test {
 };
 
 TEST_F(ObsChaosTest, ViolationDumpReconstructsCausalMessageChain) {
-  if (!kTracingEnabled) {
-    GTEST_SKIP() << "tracing compiled out (FUXI_OBS_TRACING=0)";
-  }
   runtime::SimCluster cluster(BuggyTinyClusterOptions());
   chaos::InvariantMonitor monitor(&cluster);
   chaos::ChaosEngine engine(&cluster);

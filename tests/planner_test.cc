@@ -17,8 +17,7 @@ namespace {
 using cluster::ResourceVector;
 
 // ---------------------------------------------------------------------
-// Timeline unit + property tests (compiled under every FUXI_PLANNER
-// setting: the timeline sources are always built).
+// Timeline unit + property tests.
 // ---------------------------------------------------------------------
 
 TEST(PlannerTimelineTest, ReserveReleaseAndPointAccounting) {
@@ -134,10 +133,8 @@ TEST(PlannerTimelineTest, RandomizedAdmissionNeverOvercommits) {
   });
 }
 
-#if FUXI_PLANNER
-
 // ---------------------------------------------------------------------
-// Scheduler-level policy tests (planner compiled in).
+// Scheduler-level policy tests.
 // ---------------------------------------------------------------------
 
 using resource::ResourceRequest;
@@ -372,13 +369,9 @@ TEST_F(PlannerSchedulerTest, MachineLossReplansItsReservations) {
   EXPECT_TRUE(scheduler_.PlannerOvercommitOk());
 }
 
-#endif  // FUXI_PLANNER
-
 // ---------------------------------------------------------------------
-// Chaos sweeps with the planner workload + planner faults. Under
-// FUXI_PLANNER=0 builds the hints are dropped at the scheduler
-// boundary, the planner faults no-op, and the sweep still must pass —
-// same acceptance bar either way: zero violations, every app finishes.
+// Chaos sweeps with the planner workload + planner faults: zero
+// violations, every app finishes.
 // ---------------------------------------------------------------------
 
 TEST(PlannerChaosCampaign, FiftySeedPlannerSweepHoldsAllInvariants) {

@@ -1,4 +1,4 @@
-#include "resource/reference_scheduler.h"
+#include "reference_scheduler.h"
 
 #include <algorithm>
 

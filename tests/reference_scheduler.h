@@ -1,5 +1,5 @@
-#ifndef FUXI_RESOURCE_REFERENCE_SCHEDULER_H_
-#define FUXI_RESOURCE_REFERENCE_SCHEDULER_H_
+#ifndef FUXI_TESTS_REFERENCE_SCHEDULER_H_
+#define FUXI_TESTS_REFERENCE_SCHEDULER_H_
 
 #include <cstdint>
 #include <map>
@@ -159,4 +159,4 @@ class ReferenceScheduler {
 
 }  // namespace fuxi::resource
 
-#endif  // FUXI_RESOURCE_REFERENCE_SCHEDULER_H_
+#endif  // FUXI_TESTS_REFERENCE_SCHEDULER_H_

@@ -4,6 +4,7 @@
 
 #include "baseline/yarn_like.h"
 #include "chaos/campaign.h"
+#include "obs/audit.h"
 #include "resource/scheduler.h"
 #include "trace/workloads.h"
 
@@ -233,18 +234,23 @@ TEST(ChaosGoldenReplayTest, CampaignsReplayByteIdentical) {
       {2, 0x5a2f467fe15e3c0bull, 2025},
       {3, 0x2b808efbc471373aull, 1978},
   };
-  chaos::CampaignConfig config;
-  for (const GoldenCampaign& golden : kGolden) {
-    chaos::CampaignResult result = chaos::RunCampaign(golden.seed, config);
-    ASSERT_TRUE(result.ok())
-        << "seed " << golden.seed << ":\n"
-        << chaos::FormatCampaignFailure(result);
-    EXPECT_EQ(result.state_hash, golden.state_hash)
-        << "seed " << golden.seed << " digest drifted";
-    EXPECT_EQ(result.events, golden.events)
-        << "seed " << golden.seed << " event count drifted";
-    EXPECT_EQ(result.instances_done, 96) << "seed " << golden.seed;
-    EXPECT_DOUBLE_EQ(result.completed_at, 46.0) << "seed " << golden.seed;
+  // Observability is observational: the same goldens hold with it off.
+  for (bool obs_enabled : {true, false}) {
+    SCOPED_TRACE(obs_enabled ? "obs on" : "obs off");
+    chaos::CampaignConfig config;
+    config.cluster.obs.enabled = obs_enabled;
+    for (const GoldenCampaign& golden : kGolden) {
+      chaos::CampaignResult result = chaos::RunCampaign(golden.seed, config);
+      ASSERT_TRUE(result.ok())
+          << "seed " << golden.seed << ":\n"
+          << chaos::FormatCampaignFailure(result);
+      EXPECT_EQ(result.state_hash, golden.state_hash)
+          << "seed " << golden.seed << " digest drifted";
+      EXPECT_EQ(result.events, golden.events)
+          << "seed " << golden.seed << " event count drifted";
+      EXPECT_EQ(result.instances_done, 96) << "seed " << golden.seed;
+      EXPECT_DOUBLE_EQ(result.completed_at, 46.0) << "seed " << golden.seed;
+    }
   }
 }
 
@@ -289,97 +295,110 @@ TEST(SchedulerGrantLogGoldenTest, ScriptedScenarioDigestIsStable) {
 
   resource::SchedulerOptions options;
   options.enable_preemption = true;
-  resource::Scheduler scheduler(&topo, options);
-  ASSERT_TRUE(
-      scheduler.CreateQuotaGroup("g", cluster::ResourceVector(3600, 65536))
-          .ok());
-  ASSERT_TRUE(scheduler.RegisterApp(AppId(1), "g").ok());
-  ASSERT_TRUE(scheduler.RegisterApp(AppId(2), "g").ok());
+  // Three inputs fold the same log: no audit log, a live one, and one
+  // built disabled (ObsOptions::enabled = false).
+  obs::AuditLog audit_on(nullptr, nullptr);
+  obs::AuditLog audit_off(nullptr, nullptr, obs::AuditLog::kDefaultCapacity,
+                          /*enabled=*/false);
+  for (obs::AuditLog* audit : {static_cast<obs::AuditLog*>(nullptr),
+                               &audit_on, &audit_off}) {
+    SCOPED_TRACE(audit == nullptr ? "no audit"
+                 : audit == &audit_on ? "audit on" : "audit off");
+    resource::Scheduler scheduler(&topo, options);
+    scheduler.set_audit(audit);
+    ASSERT_TRUE(
+        scheduler.CreateQuotaGroup("g", cluster::ResourceVector(3600, 65536))
+            .ok());
+    ASSERT_TRUE(scheduler.RegisterApp(AppId(1), "g").ok());
+    ASSERT_TRUE(scheduler.RegisterApp(AppId(2), "g").ok());
 
-  uint64_t digest = 1469598103934665603ull;  // FNV-1a offset basis
-  auto fold = [&digest](const std::string& s) {
-    for (char c : s) {
-      digest ^= static_cast<unsigned char>(c);
-      digest *= 1099511628211ull;
-    }
-  };
-  auto fold_result = [&](const resource::SchedulingResult& result) {
-    std::ostringstream out;
-    for (const auto& a : result.assignments) {
-      out << "A " << a.app.value() << ' ' << a.slot_id << ' '
-          << a.machine.value() << ' ' << a.count << '\n';
-    }
-    for (const auto& r : result.revocations) {
-      out << "R " << r.app.value() << ' ' << r.slot_id << ' '
-          << r.machine.value() << ' ' << r.count << ' '
-          << static_cast<int>(r.reason) << '\n';
-    }
-    fold(out.str());
-  };
+    uint64_t digest = 1469598103934665603ull;  // FNV-1a offset basis
+    auto fold = [&digest](const std::string& s) {
+      for (char c : s) {
+        digest ^= static_cast<unsigned char>(c);
+        digest *= 1099511628211ull;
+      }
+    };
+    auto fold_result = [&](const resource::SchedulingResult& result) {
+      std::ostringstream out;
+      for (const auto& a : result.assignments) {
+        out << "A " << a.app.value() << ' ' << a.slot_id << ' '
+            << a.machine.value() << ' ' << a.count << '\n';
+      }
+      for (const auto& r : result.revocations) {
+        out << "R " << r.app.value() << ' ' << r.slot_id << ' '
+            << r.machine.value() << ' ' << r.count << ' '
+            << static_cast<int>(r.reason) << '\n';
+      }
+      fold(out.str());
+    };
 
-  resource::SchedulingResult result;
-  auto request = [&](AppId app, uint32_t slot, resource::Priority priority,
-                     int64_t cpu, int64_t mem, int64_t count,
-                     std::vector<resource::LocalityHint> hints = {}) {
-    resource::ResourceRequest req;
-    req.app = app;
-    resource::UnitRequestDelta unit;
-    unit.slot_id = slot;
-    unit.has_def = true;
-    unit.def.slot_id = slot;
-    unit.def.priority = priority;
-    unit.def.resources = cluster::ResourceVector(cpu, mem);
-    unit.total_count_delta = count;
-    unit.hints = std::move(hints);
-    req.units.push_back(unit);
+    resource::SchedulingResult result;
+    auto request = [&](AppId app, uint32_t slot, resource::Priority priority,
+                       int64_t cpu, int64_t mem, int64_t count,
+                       std::vector<resource::LocalityHint> hints = {}) {
+      resource::ResourceRequest req;
+      req.app = app;
+      resource::UnitRequestDelta unit;
+      unit.slot_id = slot;
+      unit.has_def = true;
+      unit.def.slot_id = slot;
+      unit.def.priority = priority;
+      unit.def.resources = cluster::ResourceVector(cpu, mem);
+      unit.total_count_delta = count;
+      unit.hints = std::move(hints);
+      req.units.push_back(unit);
+      result.Clear();
+      ASSERT_TRUE(scheduler.ApplyRequest(req, &result).ok());
+      fold_result(result);
+    };
+
+    request(AppId(1), 0, 1, 100, 2048, 9,
+            {{resource::LocalityLevel::kMachine, topo.machine(MachineId(5)).hostname, 4},
+             {resource::LocalityLevel::kRack, topo.rack(RackId(0)).name, 3}});
+    request(AppId(2), 0, 2, 150, 4096, 6,
+            {{resource::LocalityLevel::kRack, topo.rack(RackId(2)).name, 6}});
+    request(AppId(1), 1, 3, 200, 4096, 8);  // high prio → preemption path
+
     result.Clear();
-    ASSERT_TRUE(scheduler.ApplyRequest(req, &result).ok());
+    scheduler.SetMachineOffline(MachineId(5), &result);
     fold_result(result);
-  };
+    result.Clear();
+    scheduler.SetMachineOnline(MachineId(5), &result);
+    fold_result(result);
 
-  request(AppId(1), 0, 1, 100, 2048, 9,
-          {{resource::LocalityLevel::kMachine, topo.machine(MachineId(5)).hostname, 4},
-           {resource::LocalityLevel::kRack, topo.rack(RackId(0)).name, 3}});
-  request(AppId(2), 0, 2, 150, 4096, 6,
-          {{resource::LocalityLevel::kRack, topo.rack(RackId(2)).name, 6}});
-  request(AppId(1), 1, 3, 200, 4096, 8);  // high prio → preemption path
+    result.Clear();
+    ASSERT_TRUE(scheduler
+                    .Release(AppId(2), 0, MachineId(8), 1, &result,
+                             resource::RevocationReason::kAppRelease)
+                    .ok());
+    fold_result(result);
 
-  result.Clear();
-  scheduler.SetMachineOffline(MachineId(5), &result);
-  fold_result(result);
-  result.Clear();
-  scheduler.SetMachineOnline(MachineId(5), &result);
-  fold_result(result);
+    result.Clear();
+    scheduler.SetMachineCapacity(MachineId(3),
+                                 cluster::ResourceVector(800, 16384), &result);
+    fold_result(result);
 
-  result.Clear();
-  ASSERT_TRUE(scheduler
-                  .Release(AppId(2), 0, MachineId(8), 1, &result,
-                           resource::RevocationReason::kAppRelease)
-                  .ok());
-  fold_result(result);
+    resource::ScheduleUnitDef restored;
+    restored.slot_id = 7;
+    restored.priority = 1;
+    restored.resources = cluster::ResourceVector(50, 1024);
+    ASSERT_TRUE(
+        scheduler.RestoreGrant(AppId(2), restored, MachineId(3), 2).ok());
+    result.Clear();
+    scheduler.RunSchedulePass(MachineId(3), &result);
+    fold_result(result);
 
-  result.Clear();
-  scheduler.SetMachineCapacity(MachineId(3),
-                               cluster::ResourceVector(800, 16384), &result);
-  fold_result(result);
+    result.Clear();
+    ASSERT_TRUE(scheduler.UnregisterApp(AppId(1), &result).ok());
+    fold_result(result);
 
-  resource::ScheduleUnitDef restored;
-  restored.slot_id = 7;
-  restored.priority = 1;
-  restored.resources = cluster::ResourceVector(50, 1024);
-  ASSERT_TRUE(
-      scheduler.RestoreGrant(AppId(2), restored, MachineId(3), 2).ok());
-  result.Clear();
-  scheduler.RunSchedulePass(MachineId(3), &result);
-  fold_result(result);
-
-  result.Clear();
-  ASSERT_TRUE(scheduler.UnregisterApp(AppId(1), &result).ok());
-  fold_result(result);
-
-  ASSERT_TRUE(scheduler.CheckInvariants());
-  EXPECT_EQ(digest, 0xbe6e741939341a85ull)
-      << "grant-log digest changed: 0x" << std::hex << digest;
+    ASSERT_TRUE(scheduler.CheckInvariants());
+    EXPECT_EQ(digest, 0xbe6e741939341a85ull)
+        << "grant-log digest changed: 0x" << std::hex << digest;
+  }
+  EXPECT_GT(audit_on.records_committed(), 0u);
+  EXPECT_EQ(audit_off.records_committed(), 0u);
 }
 
 }  // namespace
