@@ -89,12 +89,14 @@ echo "flat-vs-tree tenant sweep stdout byte-identical"
 if [[ "$skip_asan" == 1 ]]; then
   echo "== tier-1: ASan/UBSan pass skipped =="
 else
-  echo "== tier-1: chaos campaign + wire fuzz under ASan/UBSan =="
+  echo "== tier-1: chaos campaign, wire fuzz and scheduler suites under ASan/UBSan =="
+  # The scheduler suites hold raw PendingDemand pointers across demand
+  # creation and teardown; together they add about a second here.
   cmake -B build-asan -S . -DFUXI_SANITIZE=address,undefined >/dev/null
   cmake --build build-asan -j"$(nproc)" --target fuxi_tests
   (cd build-asan &&
    ./tests/fuxi_tests \
-     --gtest_filter='*ChaosCampaign.*:Shard*:ScriptedChaosTest.*:Wire*:NetworkTest.*:Planner*')
+     --gtest_filter='*ChaosCampaign.*:Shard*:ScriptedChaosTest.*:Wire*:NetworkTest.*:Planner*:LocalityTree*:*LocalityTreeFuzzTest.*:SchedulerTest.*:*SchedulerFuzzTest.*:SchedulerDifferentialSweepTest.*')
 fi
 
 if [[ "$skip_tsan" == 1 ]]; then

@@ -61,6 +61,7 @@ void FuxiAgent::Crash() {
   // Soft state lost with the daemon; processes keep running in the
   // ProcessHost (user-transparent agent failover, §4.3.1).
   capacity_.clear();
+  granted_capacity_ = cluster::ResourceVector();
   pending_launches_.clear();
   restart_counts_.clear();
 }
@@ -189,11 +190,13 @@ void FuxiAgent::OnCapacity(const master::AgentCapacityRpc& rpc) {
     last_full_capacity_seq_ = rpc.seq;
     applied_capacity_seqs_.clear();
     capacity_.clear();
+    granted_capacity_ = cluster::ResourceVector();
     need_capacity_ = false;
   }
   for (const master::AgentCapacityRpc::Entry& entry : rpc.entries) {
     CapacityKey key{entry.app, entry.slot_id};
     CapacityEntry& cap = capacity_[key];
+    granted_capacity_ -= cap.def.resources * cap.count;
     cap.def = entry.def;
     if (rpc.full) {
       cap.count = entry.delta;
@@ -201,6 +204,7 @@ void FuxiAgent::OnCapacity(const master::AgentCapacityRpc& rpc) {
       cap.count += entry.delta;
     }
     if (cap.count < 0) cap.count = 0;
+    granted_capacity_ += cap.def.resources * cap.count;
     EnforceCapacity(entry.app, entry.slot_id);
     if (cap.count == 0 &&
         host_->AliveOf(entry.app, entry.slot_id).empty()) {
@@ -390,14 +394,6 @@ void FuxiAgent::InjectWorkerCrash(WorkerId worker) {
 int64_t FuxiAgent::CapacityOf(AppId app, uint32_t slot_id) const {
   auto it = capacity_.find({app, slot_id});
   return it == capacity_.end() ? 0 : it->second.count;
-}
-
-cluster::ResourceVector FuxiAgent::TotalGrantedCapacity() const {
-  cluster::ResourceVector total;
-  for (const auto& [key, entry] : capacity_) {
-    total += entry.def.resources * entry.count;
-  }
-  return total;
 }
 
 void FuxiAgent::AuditKill(AppId app, uint32_t slot_id, const char* cause) {

@@ -101,8 +101,11 @@ class FuxiAgent : public sim::Actor {
   /// entries of count x unit). The chaos InvariantMonitor compares this
   /// against the machine's physical capacity: a sustained excess means
   /// FuxiMaster double-granted the machine (e.g. a failover that did
-  /// not restore existing grants before rescheduling).
-  cluster::ResourceVector TotalGrantedCapacity() const;
+  /// not restore existing grants before rescheduling). O(1): a running
+  /// total kept wherever the table changes.
+  cluster::ResourceVector TotalGrantedCapacity() const {
+    return granted_capacity_;
+  }
 
   /// Simulates a worker process crash (PartialWorkerFailure injection):
   /// the agent notices and applies its restart-in-place policy.
@@ -183,6 +186,8 @@ class FuxiAgent : public sim::Actor {
 
   net::Endpoint endpoint_;
   std::map<CapacityKey, CapacityEntry> capacity_;
+  /// Sum over capacity_ of count x unit, updated with every edit.
+  cluster::ResourceVector granted_capacity_;
   /// Launches in progress (accepted, still "downloading the package").
   std::map<CapacityKey, int64_t> pending_launches_;
   /// Restart-in-place counters per worker lineage.

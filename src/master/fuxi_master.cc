@@ -563,8 +563,8 @@ void FuxiMaster::ApplyFullState(AppRecord* record,
     reconcile.units.push_back(std::move(delta));
   }
   // Slots the application no longer mentions: zero them out.
-  for (const resource::PendingDemand* demand : tree.AllDemands()) {
-    if (demand->key.app != record->app) continue;
+  for (const resource::PendingDemand* demand :
+       scheduler_->DemandsOf(record->app)) {
     if (mentioned.count(demand->key.slot_id) > 0) continue;
     if (demand->total_remaining == 0) continue;
     resource::UnitRequestDelta delta;

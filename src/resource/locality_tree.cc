@@ -111,13 +111,10 @@ void LocalityTree::Remove(const SlotKey& key) {
   demands_.erase(it);
 }
 
-size_t LocalityTree::RemoveApp(AppId app) {
-  std::vector<SlotKey> keys;
-  for (const auto& [key, demand] : demands_) {
-    if (key.app == app) keys.push_back(key);
-  }
-  for (const SlotKey& key : keys) Remove(key);
-  return keys.size();
+size_t LocalityTree::RemoveApp(AppId app, const std::set<uint32_t>& slots) {
+  size_t before = demands_.size();
+  for (uint32_t slot : slots) Remove(SlotKey{app, slot});
+  return before - demands_.size();
 }
 
 LocalityLevel LocalityTree::WaitLevelFor(const PendingDemand& demand,

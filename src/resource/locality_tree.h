@@ -124,8 +124,9 @@ class LocalityTree {
   /// Drops the demand from all queues and destroys it.
   void Remove(const SlotKey& key);
 
-  /// Removes every demand of `app`; returns how many were dropped.
-  size_t RemoveApp(AppId app);
+  /// Removes the demands of `app` for `slots`, the owner's per-app
+  /// index (the tree keeps none); returns how many were dropped.
+  size_t RemoveApp(AppId app, const std::set<uint32_t>& slots);
 
   /// The level at which `demand` waits for machine `machine` — machine
   /// queue beats rack queue beats cluster queue for tie-breaking.
@@ -157,7 +158,9 @@ class LocalityTree {
   /// Sum over demands of total_remaining (unit counts, not resources).
   int64_t TotalWaitingUnits() const;
 
-  /// Demands with any outstanding count, in key order (deterministic).
+  /// Every demand record, live or not, in key order (deterministic).
+  /// Copies and sorts the whole set: for cluster-wide sweeps and
+  /// checks only. Per-app callers use Scheduler::DemandsOf.
   std::vector<const PendingDemand*> AllDemands() const;
 
   size_t demand_count() const { return demands_.size(); }

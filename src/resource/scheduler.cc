@@ -136,7 +136,7 @@ Status Scheduler::UnregisterApp(AppId app, SchedulingResult* result) {
       planner_->OnDemandGone(PlanKeyOf(SlotKey{app, slot}));
     }
   }
-  tree_.RemoveApp(app);
+  tree_.RemoveApp(app, it->second.slots);
   if (fairshare_.HasApp(app)) {
     Status s = fairshare_.RemoveApp(app);
     FUXI_CHECK(s.ok()) << s.ToString();
@@ -155,8 +155,7 @@ Status Scheduler::ApplyRequest(const ResourceRequest& request,
   }
   std::vector<PendingDemand*> touched;
   for (const UnitRequestDelta& delta : request.units) {
-    FUXI_RETURN_IF_ERROR(ApplyUnitDelta(request.app, delta, &touched));
-    it->second.slots.insert(delta.slot_id);
+    FUXI_RETURN_IF_ERROR(ApplyUnitDelta(&it->second, delta, &touched));
   }
   for (PendingDemand* demand : touched) {
     if (demand->total_remaining > 0) PlaceDemand(demand, result);
@@ -182,9 +181,11 @@ Status Scheduler::ApplyRequest(const ResourceRequest& request,
   return Status::Ok();
 }
 
-Status Scheduler::ApplyUnitDelta(AppId app, const UnitRequestDelta& delta,
+Status Scheduler::ApplyUnitDelta(AppState* app_state,
+                                 const UnitRequestDelta& delta,
                                  std::vector<PendingDemand*>* touched) {
   NoteMutation();
+  AppId app = app_state->app;
   SlotKey key{app, delta.slot_id};
   PendingDemand* demand = tree_.Find(key);
   if (demand == nullptr) {
@@ -198,6 +199,9 @@ Status Scheduler::ApplyUnitDelta(AppId app, const UnitRequestDelta& delta,
       return Status::InvalidArgument("schedule unit size must be positive");
     }
     demand = tree_.GetOrCreate(key, delta.def);
+    // Indexed at creation: a later edit of this delta may still fail
+    // (unknown hostname), and the demand must not outlive its app.
+    app_state->slots.insert(delta.slot_id);
   }
 
   // Avoid-list edits first: they affect subsequent placement.
@@ -1109,6 +1113,19 @@ std::vector<Scheduler::GrantEntry> Scheduler::GrantsOf(AppId app) const {
   return out;
 }
 
+std::vector<const PendingDemand*> Scheduler::DemandsOf(AppId app) const {
+  std::vector<const PendingDemand*> out;
+  auto it = apps_.find(app);
+  if (it == apps_.end()) return out;
+  out.reserve(it->second.slots.size());
+  for (uint32_t slot : it->second.slots) {
+    const PendingDemand* demand = tree_.Find(SlotKey{app, slot});
+    FUXI_CHECK(demand != nullptr);
+    out.push_back(demand);
+  }
+  return out;
+}
+
 int64_t Scheduler::GrantCount(AppId app, uint32_t slot_id,
                               MachineId machine) const {
   const MachineState& state =
@@ -1146,6 +1163,17 @@ bool Scheduler::CheckInvariants() const {
   }
   // The incremental indexes must agree with the from-scratch recompute.
   if (sites != grant_sites_) return false;
+  // Per-app demand index vs the tree, both directions: every indexed
+  // slot has a record, and as many records are indexed as the tree
+  // holds (keys are distinct, so that also rules out untracked ones).
+  size_t indexed = 0;
+  for (const auto& [app, app_state] : apps_) {
+    for (uint32_t slot : app_state.slots) {
+      if (tree_.Find(SlotKey{app, slot}) == nullptr) return false;
+    }
+    indexed += app_state.slots.size();
+  }
+  if (indexed != tree_.demand_count()) return false;
   if (!(granted_total == total_granted_)) return false;
   size_t rack_free_total = 0;
   for (const std::set<MachineId>& rack_set : rack_free_) {

@@ -211,6 +211,11 @@ class Scheduler {
   };
   std::vector<GrantEntry> GrantsOf(AppId app) const;
 
+  /// Every demand record `app` has, in ascending slot order — the
+  /// per-app demand index, so O(the app's slots) rather than a scan of
+  /// the cluster's demands. Empty for an unknown app.
+  std::vector<const PendingDemand*> DemandsOf(AppId app) const;
+
   uint64_t scheduling_passes() const { return scheduling_passes_; }
   /// Passes answered from the epoch check without walking the queues.
   uint64_t passes_skipped() const { return passes_skipped_; }
@@ -269,12 +274,15 @@ class Scheduler {
  private:
   struct AppState {
     AppId app;
-    /// Slots this app has defined, for full teardown.
+    /// The per-app demand index: every slot with a demand record in
+    /// the tree, recorded when the record is created and dropped only
+    /// with the app. Drives the full-state reconcile and teardown.
     std::set<uint32_t> slots;
   };
 
   /// Applies one unit delta (demand bookkeeping only, no placement).
-  Status ApplyUnitDelta(AppId app, const UnitRequestDelta& delta,
+  /// A demand it creates enters `app_state`'s slot index at once.
+  Status ApplyUnitDelta(AppState* app_state, const UnitRequestDelta& delta,
                         std::vector<PendingDemand*>* touched);
 
   /// Attempts to place outstanding units of `demand`, preferring its

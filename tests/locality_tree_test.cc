@@ -197,7 +197,7 @@ TEST(LocalityTreeTest, RemoveAppDropsAllItsDemands) {
   }
   PendingDemand* other = tree.GetOrCreate({AppId(2), 0}, Unit(5));
   tree.AddTotal(other, 2);
-  EXPECT_EQ(tree.RemoveApp(AppId(1)), 3u);
+  EXPECT_EQ(tree.RemoveApp(AppId(1), {0, 1, 2}), 3u);
   EXPECT_EQ(tree.demand_count(), 1u);
   EXPECT_EQ(tree.TotalWaitingUnits(), 2);
   EXPECT_TRUE(tree.CheckInvariants());

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "agent/fuxi_agent.h"
 #include "master/resource_client.h"
 #include "runtime/sim_cluster.h"
 
@@ -199,6 +200,61 @@ TEST_F(ResourceClientTest, SurvivesMasterFailover) {
   client->SetDesired(0, 6);
   cluster_->RunFor(3.0);
   EXPECT_EQ(client->granted_total(0), 6);
+}
+
+TEST_F(ResourceClientTest, AgentGrantedCapacityTracksItsTable) {
+  auto client = MakeClient();
+  client->Start(&endpoint_);
+  resource::ScheduleUnitDef big = Unit(1);
+  big.resources = cluster::ResourceVector(200, 1024);
+  client->DefineUnit(Unit(0));
+  client->DefineUnit(big);
+  // Let the opening full sync land before the deltas that build on it.
+  cluster_->RunFor(0.5);
+  // Each agent's running total must equal the sum recomputed from its
+  // table, and both must match the scheduler's charge on the machine.
+  auto check_all = [&](const char* stage) {
+    for (const cluster::Machine& machine : cluster_->topology().machines()) {
+      agent::FuxiAgent* agent = cluster_->agent(machine.id);
+      cluster::ResourceVector table =
+          Unit(0).resources * agent->CapacityOf(AppId(1), 0) +
+          big.resources * agent->CapacityOf(AppId(1), 1);
+      EXPECT_EQ(agent->TotalGrantedCapacity(), table)
+          << stage << " machine " << machine.id.value();
+      const resource::MachineState& state =
+          cluster_->primary()->scheduler()->machine_state(machine.id);
+      EXPECT_EQ(table, state.capacity - state.free)
+          << stage << " machine " << machine.id.value();
+    }
+  };
+
+  client->SetDesired(0, 7);
+  client->SetDesired(1, 5);
+  cluster_->RunFor(2.0);
+  ASSERT_EQ(client->granted_total(0) + client->granted_total(1), 12);
+  check_all("after grant deltas");
+
+  MachineId machine = client->grants_by_machine(1).begin()->first;
+  client->Release(1, machine, 1);
+  cluster_->RunFor(2.0);
+  check_all("after a release delta");
+
+  // A crash loses the table; the restart re-learns it as a full
+  // snapshot from FuxiMaster.
+  agent::FuxiAgent* crashed = nullptr;
+  for (const cluster::Machine& m : cluster_->topology().machines()) {
+    if (!cluster_->agent(m.id)->TotalGrantedCapacity().IsZero()) {
+      crashed = cluster_->agent(m.id);
+      break;
+    }
+  }
+  ASSERT_NE(crashed, nullptr);
+  crashed->Crash();
+  EXPECT_EQ(crashed->TotalGrantedCapacity(), cluster::ResourceVector());
+  crashed->Restart();
+  cluster_->RunFor(3.0);
+  EXPECT_NE(crashed->TotalGrantedCapacity(), cluster::ResourceVector());
+  check_all("after crash and full snapshot");
 }
 
 }  // namespace

@@ -347,6 +347,42 @@ TEST_F(SchedulerTest, UnregisterAppFreesEverything) {
   EXPECT_TRUE(scheduler_.CheckInvariants());
 }
 
+TEST_F(SchedulerTest, FailedFirstDeltaLeavesNoDemandBehind) {
+  // The first delta of a new slot creates its demand record before the
+  // hostnames are resolved; an unknown host fails the request after
+  // that. The record must still be indexed under its app so teardown
+  // drops it.
+  ASSERT_TRUE(scheduler_.RegisterApp(AppId(1)).ok());
+  ASSERT_TRUE(scheduler_.RegisterApp(AppId(2)).ok());
+  ResourceRequest bad_avoid;
+  bad_avoid.app = AppId(1);
+  bad_avoid.units.push_back(MakeUnit(3, 5, 100, 1024, 2));
+  bad_avoid.units.back().avoid_add.push_back("no-such-host");
+  ResourceRequest bad_hint;
+  bad_hint.app = AppId(1);
+  bad_hint.units.push_back(MakeUnit(4, 5, 100, 1024, 2));
+  bad_hint.units.back().hints.push_back(
+      {LocalityLevel::kMachine, "no-such-host", 1});
+  ResourceRequest other;
+  other.app = AppId(2);
+  other.units.push_back(MakeUnit(3, 5, 100, 1024, 2));
+  SchedulingResult result;
+  EXPECT_FALSE(scheduler_.ApplyRequest(bad_avoid, &result).ok());
+  EXPECT_FALSE(scheduler_.ApplyRequest(bad_hint, &result).ok());
+  ASSERT_TRUE(scheduler_.ApplyRequest(other, &result).ok());
+  EXPECT_EQ(scheduler_.locality_tree().demand_count(), 3u);
+  ASSERT_EQ(scheduler_.DemandsOf(AppId(1)).size(), 2u);
+  EXPECT_EQ(scheduler_.DemandsOf(AppId(1))[0]->key.slot_id, 3u);
+  EXPECT_EQ(scheduler_.DemandsOf(AppId(1))[1]->key.slot_id, 4u);
+  EXPECT_TRUE(scheduler_.CheckInvariants());
+
+  ASSERT_TRUE(scheduler_.UnregisterApp(AppId(1), &result).ok());
+  EXPECT_EQ(scheduler_.locality_tree().demand_count(), 1u)
+      << "only app 2's demand may survive app 1's teardown";
+  EXPECT_TRUE(scheduler_.DemandsOf(AppId(1)).empty());
+  EXPECT_TRUE(scheduler_.CheckInvariants());
+}
+
 TEST_F(SchedulerTest, MultiDimensionalFitRequiresAllDimensions) {
   ASSERT_TRUE(scheduler_.RegisterApp(AppId(1)).ok());
   // Memory-heavy unit: CPU fits 4x but memory only 2x per machine.

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
+#include "master/messages.h"
+#include "resource/delta_channel.h"
 #include "runtime/sim_cluster.h"
 #include "runtime/synthetic_app.h"
 #include "trace/workloads.h"
@@ -144,6 +149,68 @@ TEST(SystemEdgeTest, SimultaneousElectionYieldsOnePrimary) {
     if (cluster.master(i)->is_primary()) ++primaries;
   }
   EXPECT_EQ(primaries, 1);
+}
+
+TEST(SystemEdgeTest, FullSyncZeroesOnlyTheSlotItsAppOmits) {
+  // Two apps share slot ids. App A's periodic full sync stops mentioning
+  // its slot 2: exactly A/2 is zeroed, and app B's demands (B/2
+  // included) are untouched.
+  SimCluster cluster(Opts());
+  cluster.Start();
+  cluster.RunFor(2.0);
+  const AppId a(1);
+  const AppId b(2);
+  std::map<AppId, NodeId> am_node;
+  std::map<AppId, resource::DeltaSender<resource::RequestMessage>> sender;
+  for (AppId app : {a, b}) {
+    master::SubmitAppRpc submit;
+    submit.app = app;
+    submit.client = cluster.AllocateNodeId();
+    cluster.network().Send(submit.client, cluster.primary()->node(), submit);
+    am_node[app] = cluster.AllocateNodeId();
+  }
+  cluster.RunFor(0.5);
+  auto slot = [](uint32_t id, int64_t total) {
+    resource::SlotAbsoluteState state;
+    state.def.slot_id = id;
+    state.def.priority = 5;
+    state.def.resources = cluster::ResourceVector(100, 1024);
+    state.total_count = total;
+    return state;
+  };
+  auto full_sync = [&](AppId app,
+                       std::vector<resource::SlotAbsoluteState> slots) {
+    resource::RequestMessage full;
+    full.full_slots = std::move(slots);
+    master::RequestRpc rpc;
+    rpc.app = app;
+    rpc.reply_to = am_node[app];
+    rpc.msg = sender[app].StampFull(std::move(full));
+    cluster.network().Send(am_node[app], cluster.primary()->node(), rpc);
+    cluster.RunFor(0.5);
+  };
+  // B fills all 32 unit slots of the cluster first, so every later
+  // demand waits and the reconcile shows in the outstanding counts.
+  full_sync(b, {slot(0, 40), slot(2, 6)});
+  full_sync(a, {slot(0, 5), slot(1, 5), slot(2, 5)});
+  const resource::Scheduler* scheduler = cluster.primary()->scheduler();
+  auto waiting = [&](AppId app, uint32_t id) {
+    const resource::PendingDemand* demand =
+        scheduler->locality_tree().Find(resource::SlotKey{app, id});
+    return demand == nullptr ? int64_t{-1} : demand->total_remaining;
+  };
+  ASSERT_EQ(waiting(b, 0), 8);
+  ASSERT_EQ(waiting(b, 2), 6);
+  ASSERT_EQ(waiting(a, 2), 5);
+
+  full_sync(a, {slot(0, 5), slot(1, 5)});
+  EXPECT_EQ(waiting(a, 0), 5);
+  EXPECT_EQ(waiting(a, 1), 5);
+  EXPECT_EQ(waiting(a, 2), 0);
+  EXPECT_EQ(waiting(b, 0), 8);
+  EXPECT_EQ(waiting(b, 2), 6);
+  EXPECT_EQ(scheduler->GrantedTo(b), cluster::ResourceVector(3200, 32 * 1024));
+  EXPECT_TRUE(scheduler->CheckInvariants());
 }
 
 TEST(SystemEdgeTest, NodeIdsNeverCollide) {
