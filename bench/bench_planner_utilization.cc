@@ -349,7 +349,7 @@ int main(int argc, char** argv) {
     if (name.rfind("planner.", 0) == 0) {
       std::printf("  %-32s count=%lu p50=%.1f\n", name.c_str(),
                   static_cast<unsigned long>(histogram->count()),
-                  histogram->Percentile(0.5));
+                  histogram->Percentile(50.0));
     }
   }
 

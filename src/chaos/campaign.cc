@@ -175,17 +175,11 @@ CampaignResult RunCampaign(uint64_t seed, const CampaignConfig& config) {
         trace::MakeTenantPopulation(seed, capacity, tenant_options);
     for (const trace::TenantPopulation::Node& node :
          tenant_population.nodes) {
-      if (config.tenants_legacy && config.tenant_depth <= 1) {
-        // Flat populations can ride the legacy quota_groups option; the
-        // CI equivalence leg diffs this against the tree-configured run.
-        options.master.quota_groups.emplace_back(node.path, node.guarantee);
-      } else {
-        master::FuxiMasterOptions::TenantNode tenant;
-        tenant.path = node.path;
-        tenant.guarantee = node.guarantee;
-        tenant.weight = node.weight;
-        options.master.tenants.push_back(std::move(tenant));
-      }
+      master::FuxiMasterOptions::TenantNode tenant;
+      tenant.path = node.path;
+      tenant.guarantee = node.guarantee;
+      tenant.weight = node.weight;
+      options.master.tenants.push_back(std::move(tenant));
     }
   }
   auto tenant_of =

@@ -43,11 +43,6 @@ struct CampaignConfig {
   /// golden digests — byte-identical.
   int tenants = 0;
   int tenant_depth = 2;
-  /// Depth-1 populations only: configure the tenants through the
-  /// legacy flat `quota_groups` option instead of the tenant-tree
-  /// option. A flat population driven both ways must produce
-  /// byte-identical campaign digests — the CI equivalence leg.
-  bool tenants_legacy = false;
   /// Election + first heartbeats settle before submission.
   double warmup = 3.0;
   CampaignPlanOptions plan;

@@ -50,23 +50,36 @@ struct LeaseReplyRpc {
 };
 
 // ---------------------------------------------------------------------
-// Wire codecs (fuxi::wire, DESIGN.md §10); definitions in
-// messages_wire.cc. Bump the version byte on any layout change.
+// Wire layouts (fuxi::wire, DESIGN.md §10). Bump the version on any
+// layout change.
 // ---------------------------------------------------------------------
 
-#define FUXI_COORD_DECLARE_WIRE(TYPE)                  \
-  void WireEncode(wire::Writer& w, const TYPE& m);     \
-  Status WireDecode(wire::Reader& r, TYPE& m);         \
-  constexpr wire::TypeInfo WireTypeInfo(const TYPE*) { \
-    return {wire::MsgTag::k##TYPE, 1};                 \
-  }
+constexpr auto WireFields(const LeaseAcquireRpc*) {
+  using M = LeaseAcquireRpc;
+  return wire::FieldList<&M::name, &M::owner, &M::lease_seconds,
+                         &M::request_id>{};
+}
+FUXI_WIRE_MESSAGE(LeaseAcquireRpc, 1)
 
-FUXI_COORD_DECLARE_WIRE(LeaseAcquireRpc)
-FUXI_COORD_DECLARE_WIRE(LeaseRenewRpc)
-FUXI_COORD_DECLARE_WIRE(LeaseReleaseRpc)
-FUXI_COORD_DECLARE_WIRE(LeaseReplyRpc)
+constexpr auto WireFields(const LeaseRenewRpc*) {
+  using M = LeaseRenewRpc;
+  return wire::FieldList<&M::name, &M::owner, &M::lease_seconds,
+                         &M::request_id>{};
+}
+FUXI_WIRE_MESSAGE(LeaseRenewRpc, 1)
 
-#undef FUXI_COORD_DECLARE_WIRE
+constexpr auto WireFields(const LeaseReleaseRpc*) {
+  return wire::FieldList<&LeaseReleaseRpc::name, &LeaseReleaseRpc::owner,
+                         &LeaseReleaseRpc::request_id>{};
+}
+FUXI_WIRE_MESSAGE(LeaseReleaseRpc, 1)
+
+constexpr auto WireFields(const LeaseReplyRpc*) {
+  using M = LeaseReplyRpc;
+  return wire::FieldList<&M::request_id, &M::granted, &M::holder,
+                         &M::generation, &M::error>{};
+}
+FUXI_WIRE_MESSAGE(LeaseReplyRpc, 1)
 
 }  // namespace fuxi::coord
 

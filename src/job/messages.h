@@ -65,24 +65,43 @@ struct WorkerStatusReportRpc {
 };
 
 // ---------------------------------------------------------------------
-// Wire codecs (fuxi::wire, DESIGN.md §10); definitions in
-// messages_wire.cc. Bump the version byte on any layout change.
+// Wire layouts (fuxi::wire, DESIGN.md §10). Bump the version on any
+// layout change.
 // ---------------------------------------------------------------------
 
-#define FUXI_JOB_DECLARE_WIRE(TYPE)                    \
-  void WireEncode(wire::Writer& w, const TYPE& m);     \
-  Status WireDecode(wire::Reader& r, TYPE& m);         \
-  constexpr wire::TypeInfo WireTypeInfo(const TYPE*) { \
-    return {wire::MsgTag::k##TYPE, 1};                 \
-  }
+constexpr auto WireFields(const WorkerReadyRpc*) {
+  using M = WorkerReadyRpc;
+  return wire::FieldList<&M::app, &M::task, &M::worker, &M::machine,
+                         &M::worker_node>{};
+}
+FUXI_WIRE_MESSAGE(WorkerReadyRpc, 1)
 
-FUXI_JOB_DECLARE_WIRE(WorkerReadyRpc)
-FUXI_JOB_DECLARE_WIRE(ExecuteInstanceRpc)
-FUXI_JOB_DECLARE_WIRE(CancelInstanceRpc)
-FUXI_JOB_DECLARE_WIRE(InstanceDoneRpc)
-FUXI_JOB_DECLARE_WIRE(WorkerStatusReportRpc)
+constexpr auto WireFields(const ExecuteInstanceRpc*) {
+  using M = ExecuteInstanceRpc;
+  return wire::FieldList<&M::instance, &M::is_backup, &M::base_seconds,
+                         &M::bytes, &M::locality_factor>{};
+}
+FUXI_WIRE_MESSAGE(ExecuteInstanceRpc, 1)
 
-#undef FUXI_JOB_DECLARE_WIRE
+constexpr auto WireFields(const CancelInstanceRpc*) {
+  return wire::FieldList<&CancelInstanceRpc::instance>{};
+}
+FUXI_WIRE_MESSAGE(CancelInstanceRpc, 1)
+
+constexpr auto WireFields(const InstanceDoneRpc*) {
+  using M = InstanceDoneRpc;
+  return wire::FieldList<&M::app, &M::task, &M::instance, &M::is_backup,
+                         &M::worker, &M::machine, &M::elapsed>{};
+}
+FUXI_WIRE_MESSAGE(InstanceDoneRpc, 1)
+
+constexpr auto WireFields(const WorkerStatusReportRpc*) {
+  using M = WorkerStatusReportRpc;
+  return wire::FieldList<&M::app, &M::task, &M::worker, &M::machine,
+                         &M::worker_node, &M::running_instance, &M::progress,
+                         &M::completed>{};
+}
+FUXI_WIRE_MESSAGE(WorkerStatusReportRpc, 1)
 
 }  // namespace fuxi::job
 

@@ -171,10 +171,6 @@ void FuxiMaster::BecomePrimary() {
     scheduler_->set_metrics(&obs_->metrics);
     scheduler_->set_audit(&obs_->audit);
   }
-  for (const auto& [name, quota] : options_.quota_groups) {
-    Status s = scheduler_->CreateQuotaGroup(name, quota);
-    FUXI_CHECK(s.ok()) << s.ToString();
-  }
   for (const FuxiMasterOptions::TenantNode& tenant : options_.tenants) {
     Status s = scheduler_->CreateTenantNode(tenant.path, tenant.guarantee,
                                             tenant.weight,

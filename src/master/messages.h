@@ -230,58 +230,140 @@ struct AdoptReplyRpc {
 };
 
 // ---------------------------------------------------------------------
-// Wire codecs (fuxi::wire, DESIGN.md §10). Every RPC above is a framed
-// top-level message; definitions live in messages_wire.cc. Bump the
-// version byte in the matching WireTypeInfo when changing a layout.
+// Wire layouts (fuxi::wire, DESIGN.md §10). Every RPC above is a framed
+// top-level message. Bump its version when changing a layout.
 // ---------------------------------------------------------------------
 
-#define FUXI_MASTER_DECLARE_WIRE_V(TYPE, VERSION)          \
-  void WireEncode(wire::Writer& w, const TYPE& m);         \
-  Status WireDecode(wire::Reader& r, TYPE& m);             \
-  constexpr wire::TypeInfo WireTypeInfo(const TYPE*) {     \
-    return {wire::MsgTag::k##TYPE, VERSION};               \
-  }
-/// A migrating message: current layout VERSION, frames back to
-/// MIN_VERSION still decode (the codec branches on r.msg_version()).
-#define FUXI_MASTER_DECLARE_WIRE_RANGE(TYPE, VERSION, MIN_VERSION) \
-  void WireEncode(wire::Writer& w, const TYPE& m);                 \
-  Status WireDecode(wire::Reader& r, TYPE& m);                     \
-  constexpr wire::TypeInfo WireTypeInfo(const TYPE*) {             \
-    return {wire::MsgTag::k##TYPE, VERSION, MIN_VERSION};          \
-  }
-#define FUXI_MASTER_DECLARE_WIRE(TYPE) FUXI_MASTER_DECLARE_WIRE_V(TYPE, 1)
-
+constexpr auto WireFields(const RequestRpc*) {
+  return wire::FieldList<&RequestRpc::app, &RequestRpc::reply_to,
+                         &RequestRpc::incarnation, &RequestRpc::msg>{};
+}
 // v2: the embedded StampedRequest carries PlanningHints (fuxi::planner).
-FUXI_MASTER_DECLARE_WIRE_V(RequestRpc, 2)
-FUXI_MASTER_DECLARE_WIRE(GrantRpc)
-FUXI_MASTER_DECLARE_WIRE(ResyncRpc)
-FUXI_MASTER_DECLARE_WIRE(BadMachineReportRpc)
-FUXI_MASTER_DECLARE_WIRE(AgentHeartbeatRpc)
-FUXI_MASTER_DECLARE_WIRE(AgentCapacityRpc)
-FUXI_MASTER_DECLARE_WIRE(AgentHeartbeatAckRpc)
-FUXI_MASTER_DECLARE_WIRE(MasterRecoveryAnnounceRpc)
-FUXI_MASTER_DECLARE_WIRE(ShardStatusRpc)
+FUXI_WIRE_MESSAGE(RequestRpc, 2)
+
+constexpr auto WireFields(const GrantRpc*) {
+  return wire::FieldList<&GrantRpc::msg>{};
+}
+FUXI_WIRE_MESSAGE(GrantRpc, 1)
+
+constexpr auto WireFields(const ResyncRpc*) {
+  return wire::FieldList<&ResyncRpc::app, &ResyncRpc::reply_to,
+                         &ResyncRpc::incarnation>{};
+}
+FUXI_WIRE_MESSAGE(ResyncRpc, 1)
+
+constexpr auto WireFields(const BadMachineReportRpc*) {
+  return wire::FieldList<&BadMachineReportRpc::app,
+                         &BadMachineReportRpc::machine>{};
+}
+FUXI_WIRE_MESSAGE(BadMachineReportRpc, 1)
+
+constexpr auto WireFields(const AgentAllocation*) {
+  return wire::FieldList<&AgentAllocation::app, &AgentAllocation::slot_id,
+                         &AgentAllocation::def, &AgentAllocation::count>{};
+}
+
+constexpr auto WireFields(const AgentHeartbeatRpc*) {
+  using M = AgentHeartbeatRpc;
+  return wire::FieldList<&M::machine, &M::agent_node, &M::seq,
+                         &M::health_score, &M::capacity,
+                         &M::carries_allocations, &M::allocations,
+                         &M::need_capacity>{};
+}
+FUXI_WIRE_MESSAGE(AgentHeartbeatRpc, 1)
+
+constexpr auto WireFields(const AgentCapacityRpc::Entry*) {
+  using M = AgentCapacityRpc::Entry;
+  return wire::FieldList<&M::app, &M::slot_id, &M::def, &M::delta>{};
+}
+
+constexpr auto WireFields(const AgentCapacityRpc*) {
+  using M = AgentCapacityRpc;
+  return wire::FieldList<&M::master_generation, &M::seq, &M::full,
+                         &M::entries>{};
+}
+FUXI_WIRE_MESSAGE(AgentCapacityRpc, 1)
+
+constexpr auto WireFields(const AgentHeartbeatAckRpc*) {
+  return wire::FieldList<&AgentHeartbeatAckRpc::master_generation,
+                         &AgentHeartbeatAckRpc::need_allocations>{};
+}
+FUXI_WIRE_MESSAGE(AgentHeartbeatAckRpc, 1)
+
+constexpr auto WireFields(const MasterRecoveryAnnounceRpc*) {
+  return wire::FieldList<&MasterRecoveryAnnounceRpc::new_master,
+                         &MasterRecoveryAnnounceRpc::master_generation>{};
+}
+FUXI_WIRE_MESSAGE(MasterRecoveryAnnounceRpc, 1)
+
+constexpr auto WireFields(const ShardStatusRpc*) {
+  using M = ShardStatusRpc;
+  return wire::FieldList<&M::shard, &M::primary, &M::generation,
+                         &M::machines_online, &M::total, &M::granted>{};
+}
+FUXI_WIRE_MESSAGE(ShardStatusRpc, 1)
+
+// Hand-written (messages_wire.cc): v1 frames lack the trailing weight.
+void WireEncode(wire::Writer& w, const SubmitAppRpc& m);
+Status WireDecode(wire::Reader& r, SubmitAppRpc& m);
 // v2: quota_group became tenant_path + weight (v1 frames still decode).
-FUXI_MASTER_DECLARE_WIRE_RANGE(SubmitAppRpc, 2, 1)
-FUXI_MASTER_DECLARE_WIRE(SubmitAppReplyRpc)
-FUXI_MASTER_DECLARE_WIRE(StartAppMasterRpc)
-FUXI_MASTER_DECLARE_WIRE(StopAppRpc)
-FUXI_MASTER_DECLARE_WIRE(StartWorkerRpc)
-FUXI_MASTER_DECLARE_WIRE(WorkerStartedRpc)
-FUXI_MASTER_DECLARE_WIRE(StopWorkerRpc)
-FUXI_MASTER_DECLARE_WIRE(WorkerCrashedRpc)
-FUXI_MASTER_DECLARE_WIRE(AdoptQueryRpc)
-FUXI_MASTER_DECLARE_WIRE(AdoptReplyRpc)
+FUXI_WIRE_MESSAGE(SubmitAppRpc, 2, 1)
 
-#undef FUXI_MASTER_DECLARE_WIRE
-#undef FUXI_MASTER_DECLARE_WIRE_RANGE
-#undef FUXI_MASTER_DECLARE_WIRE_V
+constexpr auto WireFields(const SubmitAppReplyRpc*) {
+  return wire::FieldList<&SubmitAppReplyRpc::app, &SubmitAppReplyRpc::accepted,
+                         &SubmitAppReplyRpc::error>{};
+}
+FUXI_WIRE_MESSAGE(SubmitAppReplyRpc, 1)
 
-// AgentAllocation and AgentCapacityRpc::Entry are nested (unframed).
-void WireEncode(wire::Writer& w, const AgentAllocation& m);
-Status WireDecode(wire::Reader& r, AgentAllocation& m);
-void WireEncode(wire::Writer& w, const AgentCapacityRpc::Entry& m);
-Status WireDecode(wire::Reader& r, AgentCapacityRpc::Entry& m);
+constexpr auto WireFields(const StartAppMasterRpc*) {
+  return wire::FieldList<&StartAppMasterRpc::app,
+                         &StartAppMasterRpc::description>{};
+}
+FUXI_WIRE_MESSAGE(StartAppMasterRpc, 1)
+
+constexpr auto WireFields(const StopAppRpc*) {
+  return wire::FieldList<&StopAppRpc::app>{};
+}
+FUXI_WIRE_MESSAGE(StopAppRpc, 1)
+
+constexpr auto WireFields(const StartWorkerRpc*) {
+  using M = StartWorkerRpc;
+  return wire::FieldList<&M::app, &M::slot_id, &M::am_node, &M::plan_id,
+                         &M::plan>{};
+}
+FUXI_WIRE_MESSAGE(StartWorkerRpc, 1)
+
+constexpr auto WireFields(const WorkerStartedRpc*) {
+  using M = WorkerStartedRpc;
+  return wire::FieldList<&M::plan_id, &M::worker, &M::machine, &M::ok,
+                         &M::error, &M::running>{};
+}
+FUXI_WIRE_MESSAGE(WorkerStartedRpc, 1)
+
+constexpr auto WireFields(const StopWorkerRpc*) {
+  return wire::FieldList<&StopWorkerRpc::worker>{};
+}
+FUXI_WIRE_MESSAGE(StopWorkerRpc, 1)
+
+constexpr auto WireFields(const WorkerCrashedRpc*) {
+  using M = WorkerCrashedRpc;
+  return wire::FieldList<&M::app, &M::slot_id, &M::worker, &M::replacement,
+                         &M::machine, &M::restarted>{};
+}
+FUXI_WIRE_MESSAGE(WorkerCrashedRpc, 1)
+
+constexpr auto WireFields(const AdoptQueryRpc*) {
+  using M = AdoptQueryRpc;
+  return wire::FieldList<&M::app, &M::machine, &M::agent_node,
+                         &M::workers>{};
+}
+FUXI_WIRE_MESSAGE(AdoptQueryRpc, 1)
+
+constexpr auto WireFields(const AdoptReplyRpc*) {
+  return wire::FieldList<&AdoptReplyRpc::app, &AdoptReplyRpc::machine,
+                         &AdoptReplyRpc::keep>{};
+}
+FUXI_WIRE_MESSAGE(AdoptReplyRpc, 1)
 
 }  // namespace fuxi::master
 

@@ -110,25 +110,22 @@ void TelemetrySampler::SampleTick(int64_t tick) {
     Slot(name, TelemetrySeries::Kind::kGauge, metrics_->is_realtime(name))
         .Append(tick, gauge->value());
   }
-  if (options_.sample_histograms) {
-    for (const auto& [name, histogram] : metrics_->histograms()) {
-      HistCache& cache = hist_cache_[name];
-      if (histogram->count() != cache.count) {
-        // PercentilesSnapshot copies the reservoir before sorting, so
-        // mid-run queries cannot perturb end-of-run percentiles (the
-        // sampler-on/off identity contract).
-        std::vector<double> ps =
-            histogram->PercentilesSnapshot({50.0, 99.0});
-        cache.count = histogram->count();
-        cache.p50 = ps[0];
-        cache.p99 = ps[1];
-      }
-      bool realtime = metrics_->is_realtime(name);
-      Slot(name + ".p50", TelemetrySeries::Kind::kPercentile, realtime)
-          .Append(tick, cache.p50);
-      Slot(name + ".p99", TelemetrySeries::Kind::kPercentile, realtime)
-          .Append(tick, cache.p99);
+  for (const auto& [name, histogram] : metrics_->histograms()) {
+    HistCache& cache = hist_cache_[name];
+    if (histogram->count() != cache.count) {
+      // PercentilesSnapshot copies the reservoir before sorting, so
+      // mid-run queries cannot perturb end-of-run percentiles (the
+      // sampler-on/off identity contract).
+      std::vector<double> ps = histogram->PercentilesSnapshot({50.0, 99.0});
+      cache.count = histogram->count();
+      cache.p50 = ps[0];
+      cache.p99 = ps[1];
     }
+    bool realtime = metrics_->is_realtime(name);
+    Slot(name + ".p50", TelemetrySeries::Kind::kPercentile, realtime)
+        .Append(tick, cache.p50);
+    Slot(name + ".p99", TelemetrySeries::Kind::kPercentile, realtime)
+        .Append(tick, cache.p99);
   }
   for (const auto& [name, probe] : probes_) {
     Slot(name, TelemetrySeries::Kind::kDerived, false)

@@ -26,8 +26,6 @@ struct TelemetryOptions {
   double interval = 1.0;
   /// Retained samples per series; older deltas fold into the base.
   size_t ring_capacity = 2048;
-  /// Capture p50/p99 of every histogram as derived series.
-  bool sample_histograms = true;
   /// HealthEvents retained by the watchdog before counting drops.
   size_t max_events = 512;
 };

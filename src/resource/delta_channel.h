@@ -23,9 +23,8 @@ struct Stamped {
   bool is_full = false; ///< true: payload is absolute state, not a delta
   Delta payload{};
 };
-// Wire codecs for the concrete stamped protocol messages (StampedRequest,
-// StampedGrant) live with those aliases in protocol.h; the stamp fields
-// encode as [epoch u64][seq u64][is_full bool] ahead of the payload.
+// The wire layout of Stamped (protocol.h) is its field list: the stamp
+// fields [epoch u64][seq u64][is_full bool] ahead of the payload.
 
 /// Sender half: stamps outgoing deltas. Not thread-safe (one channel
 /// per directed peer pair).

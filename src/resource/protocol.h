@@ -65,50 +65,50 @@ struct GrantMessage {
 using StampedRequest = Stamped<RequestMessage>;
 using StampedGrant = Stamped<GrantMessage>;
 
-/// Request for the peer to re-send its full state (emitted when a
-/// DeltaReceiver reports kNeedResync).
-struct ResyncRequest {
-  AppId app;
-};
-
 // ---------------------------------------------------------------------
-// Wire codecs (fuxi::wire, DESIGN.md §10). The stamped wrappers are the
+// Wire layouts (fuxi::wire, DESIGN.md §10). The stamped wrappers are the
 // protocol's unit of transmission, so they carry registry tags; exact
 // measured sizes replace the old ApproxWireSize estimates everywhere
 // (net::Network::Send, the incremental-vs-full ablation).
 // ---------------------------------------------------------------------
 
-void WireEncode(wire::Writer& w, const SlotAbsoluteState& m);
-Status WireDecode(wire::Reader& r, SlotAbsoluteState& m);
-void WireEncode(wire::Writer& w, const ReleaseDelta& m);
-Status WireDecode(wire::Reader& r, ReleaseDelta& m);
-void WireEncode(wire::Writer& w, const GrantAbsolute& m);
-Status WireDecode(wire::Reader& r, GrantAbsolute& m);
-void WireEncode(wire::Writer& w, const RequestMessage& m);
-Status WireDecode(wire::Reader& r, RequestMessage& m);
-void WireEncode(wire::Writer& w, const GrantDelta& m);
-Status WireDecode(wire::Reader& r, GrantDelta& m);
-void WireEncode(wire::Writer& w, const GrantMessage& m);
-Status WireDecode(wire::Reader& r, GrantMessage& m);
+constexpr auto WireFields(const SlotAbsoluteState*) {
+  using M = SlotAbsoluteState;
+  return wire::FieldList<&M::def, &M::total_count, &M::hints, &M::avoid,
+                         &M::plan>{};
+}
+constexpr auto WireFields(const ReleaseDelta*) {
+  return wire::FieldList<&ReleaseDelta::slot_id, &ReleaseDelta::machine,
+                         &ReleaseDelta::count>{};
+}
+constexpr auto WireFields(const GrantAbsolute*) {
+  return wire::FieldList<&GrantAbsolute::slot_id, &GrantAbsolute::machine,
+                         &GrantAbsolute::count>{};
+}
+constexpr auto WireFields(const RequestMessage*) {
+  using M = RequestMessage;
+  return wire::FieldList<&M::delta, &M::releases, &M::full_slots,
+                         &M::held_grants>{};
+}
+constexpr auto WireFields(const GrantDelta*) {
+  return wire::FieldList<&GrantDelta::slot_id, &GrantDelta::machine,
+                         &GrantDelta::delta,
+                         wire::Enum(&GrantDelta::reason,
+                                    RevocationReason::kReconcile)>{};
+}
+constexpr auto WireFields(const GrantMessage*) {
+  return wire::FieldList<&GrantMessage::deltas, &GrantMessage::full_grants>{};
+}
+template <typename Delta>
+constexpr auto WireFields(const Stamped<Delta>*) {
+  using M = Stamped<Delta>;
+  return wire::FieldList<&M::epoch, &M::seq, &M::is_full, &M::payload>{};
+}
 
-void WireEncode(wire::Writer& w, const StampedRequest& m);
-Status WireDecode(wire::Reader& r, StampedRequest& m);
 // v2: UnitRequestDelta grew has_plan + PlanningHints and
 // SlotAbsoluteState grew a trailing PlanningHints (fuxi::planner).
-constexpr wire::TypeInfo WireTypeInfo(const StampedRequest*) {
-  return {wire::MsgTag::kStampedRequest, 2};
-}
-void WireEncode(wire::Writer& w, const StampedGrant& m);
-Status WireDecode(wire::Reader& r, StampedGrant& m);
-constexpr wire::TypeInfo WireTypeInfo(const StampedGrant*) {
-  return {wire::MsgTag::kStampedGrant, 1};
-}
-
-void WireEncode(wire::Writer& w, const ResyncRequest& m);
-Status WireDecode(wire::Reader& r, ResyncRequest& m);
-constexpr wire::TypeInfo WireTypeInfo(const ResyncRequest*) {
-  return {wire::MsgTag::kResyncRequest, 1};
-}
+FUXI_WIRE_MESSAGE(StampedRequest, 2)
+FUXI_WIRE_MESSAGE(StampedGrant, 1)
 
 }  // namespace fuxi::resource
 

@@ -155,19 +155,31 @@ struct SchedulingResult {
   }
 };
 
-// Wire codecs (fuxi::wire, DESIGN.md §10). These are nested-struct codecs
-// — the framed top-level messages embedding them live in protocol.h and
-// master/messages.h. Definitions in protocol.cc.
-void WireEncode(wire::Writer& w, const LocalityHint& m);
-Status WireDecode(wire::Reader& r, LocalityHint& m);
-void WireEncode(wire::Writer& w, const ScheduleUnitDef& m);
-Status WireDecode(wire::Reader& r, ScheduleUnitDef& m);
-void WireEncode(wire::Writer& w, const PlanningHints& m);
-Status WireDecode(wire::Reader& r, PlanningHints& m);
+// Wire layouts (fuxi::wire, DESIGN.md §10) of the nested structs; the
+// framed top-level messages embedding them live in protocol.h and
+// master/messages.h.
+constexpr auto WireFields(const LocalityHint*) {
+  return wire::FieldList<wire::Enum(&LocalityHint::level,
+                                    LocalityLevel::kCluster),
+                         &LocalityHint::value, &LocalityHint::count>{};
+}
+constexpr auto WireFields(const ScheduleUnitDef*) {
+  return wire::FieldList<&ScheduleUnitDef::slot_id, &ScheduleUnitDef::priority,
+                         &ScheduleUnitDef::resources>{};
+}
+constexpr auto WireFields(const PlanningHints*) {
+  using M = PlanningHints;
+  return wire::FieldList<&M::estimated_seconds, &M::reservation,
+                         &M::reserve_start, &M::deadline, &M::gang_id,
+                         &M::gang_size>{};
+}
+// Hand-written (protocol.cc): `def` and `plan` are present only when
+// their has_* flag is set.
 void WireEncode(wire::Writer& w, const UnitRequestDelta& m);
 Status WireDecode(wire::Reader& r, UnitRequestDelta& m);
-void WireEncode(wire::Writer& w, const ResourceRequest& m);
-Status WireDecode(wire::Reader& r, ResourceRequest& m);
+constexpr auto WireFields(const ResourceRequest*) {
+  return wire::FieldList<&ResourceRequest::app, &ResourceRequest::units>{};
+}
 
 }  // namespace fuxi::resource
 

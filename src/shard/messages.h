@@ -74,36 +74,39 @@ struct RouteReplyRpc {
 };
 
 // ---------------------------------------------------------------------
-// Wire codecs (fuxi::wire, DESIGN.md §10).
+// Wire layouts (fuxi::wire, DESIGN.md §10).
 // ---------------------------------------------------------------------
 
-#define FUXI_SHARD_DECLARE_WIRE(TYPE)                  \
-  void WireEncode(wire::Writer& w, const TYPE& m);     \
-  Status WireDecode(wire::Reader& r, TYPE& m);         \
-  constexpr wire::TypeInfo WireTypeInfo(const TYPE*) { \
-    return {wire::MsgTag::k##TYPE, 1};                 \
-  }
-/// A migrating message: current layout VERSION, frames back to
-/// MIN_VERSION still decode (the codec branches on r.msg_version()).
-#define FUXI_SHARD_DECLARE_WIRE_RANGE(TYPE, VERSION, MIN_VERSION) \
-  void WireEncode(wire::Writer& w, const TYPE& m);                \
-  Status WireDecode(wire::Reader& r, TYPE& m);                    \
-  constexpr wire::TypeInfo WireTypeInfo(const TYPE*) {            \
-    return {wire::MsgTag::k##TYPE, VERSION, MIN_VERSION};         \
-  }
+constexpr auto WireFields(const ShardEntry*) {
+  using M = ShardEntry;
+  return wire::FieldList<&M::shard, &M::primary, &M::generation,
+                         &M::machines_online, &M::total, &M::granted,
+                         &M::updated_at>{};
+}
 
-FUXI_SHARD_DECLARE_WIRE(ShardLookupRpc)
-FUXI_SHARD_DECLARE_WIRE(ShardDirectoryReplyRpc)
+constexpr auto WireFields(const ShardLookupRpc*) {
+  return wire::FieldList<&ShardLookupRpc::reply_to,
+                         &ShardLookupRpc::request_id>{};
+}
+FUXI_WIRE_MESSAGE(ShardLookupRpc, 1)
+
+constexpr auto WireFields(const ShardDirectoryReplyRpc*) {
+  return wire::FieldList<&ShardDirectoryReplyRpc::request_id,
+                         &ShardDirectoryReplyRpc::entries>{};
+}
+FUXI_WIRE_MESSAGE(ShardDirectoryReplyRpc, 1)
+
+// Hand-written (messages_wire.cc): v1 frames lack the trailing weight.
+void WireEncode(wire::Writer& w, const RouteSubmitRpc& m);
+Status WireDecode(wire::Reader& r, RouteSubmitRpc& m);
 // v2: quota_group became tenant_path + weight (v1 frames still decode).
-FUXI_SHARD_DECLARE_WIRE_RANGE(RouteSubmitRpc, 2, 1)
-FUXI_SHARD_DECLARE_WIRE(RouteReplyRpc)
+FUXI_WIRE_MESSAGE(RouteSubmitRpc, 2, 1)
 
-#undef FUXI_SHARD_DECLARE_WIRE
-#undef FUXI_SHARD_DECLARE_WIRE_RANGE
-
-// ShardEntry is nested (unframed).
-void WireEncode(wire::Writer& w, const ShardEntry& m);
-Status WireDecode(wire::Reader& r, ShardEntry& m);
+constexpr auto WireFields(const RouteReplyRpc*) {
+  using M = RouteReplyRpc;
+  return wire::FieldList<&M::app, &M::shard, &M::accepted, &M::error>{};
+}
+FUXI_WIRE_MESSAGE(RouteReplyRpc, 1)
 
 }  // namespace fuxi::shard
 

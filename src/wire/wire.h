@@ -6,6 +6,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/ids.h"
@@ -15,19 +16,30 @@
 /// fuxi::wire — the canonical binary wire format under every control-plane
 /// RPC (DESIGN.md §10).
 ///
-/// Every message type that crosses node boundaries gets a codec — a pair of
-/// free functions discovered by argument-dependent lookup, declared in the
-/// same header that defines the type:
+/// A message is authored as one field list, next to the struct, in
+/// declaration order; that single list is both its encoder and its
+/// decoder, so the two sides cannot drift apart:
 ///
-///   void WireEncode(wire::Writer& w, const T& msg);
-///   Status WireDecode(wire::Reader& r, T& msg);
+///   constexpr auto WireFields(const LeaseReleaseRpc*) {
+///     return wire::FieldList<&LeaseReleaseRpc::name, &LeaseReleaseRpc::owner,
+///                            &LeaseReleaseRpc::request_id>{};
+///   }
 ///
-/// Top-level messages (things handed to net::Network::Send) additionally
-/// declare their identity in the central tag registry below:
+/// Each field's encoding follows from its C++ type (see Put/Get below);
+/// an enum field is written wire::Enum(&T::field, T::kLargest) so decode
+/// can range-check it. Top-level messages (things handed to
+/// net::Network::Send) also register a tag and layout version:
 ///
-///   constexpr wire::TypeInfo WireTypeInfo(const T*);
+///   FUXI_WIRE_MESSAGE(LeaseReleaseRpc, 1)
 ///
-/// and are framed as  [varint tag][version byte][body][fixed32 checksum].
+/// Hand-write a `WireEncode(wire::Writer&, const T&)` /
+/// `Status WireDecode(wire::Reader&, T&)` pair instead — declared in the
+/// header that defines T and found by argument-dependent lookup — only
+/// when a field list cannot say it: fields present only behind a flag,
+/// fields added in a later version that old frames lack (branch on
+/// Reader::msg_version()), or a custom format (ResourceVector, Json).
+///
+/// Frames are  [varint tag][version byte][body][fixed32 checksum].
 /// The checksum covers tag+version+body, so any single corrupted byte is a
 /// guaranteed decode failure — corruption surfaces as a counted drop at the
 /// transport, never as a crash or a silently wrong message.
@@ -50,7 +62,7 @@ enum class MsgTag : uint16_t {
   // resource protocol (src/resource)
   kStampedRequest = 1,
   kStampedGrant = 2,
-  kResyncRequest = 3,
+  kResyncRequest = 3,  // retired: never sent; the value stays taken
 
   // master control plane (src/master)
   kRequestRpc = 16,
@@ -120,6 +132,26 @@ struct TypeInfo {
   uint8_t min_version = 0;
 };
 
+/// Registers TYPE as a framed top-level message under MsgTag::k##TYPE at
+/// layout VERSION; an optional third argument is the oldest layout that
+/// still decodes (TypeInfo::min_version). Use it in TYPE's namespace:
+///   FUXI_WIRE_MESSAGE(RequestRpc, 2)
+///   FUXI_WIRE_MESSAGE(SubmitAppRpc, 2, 1)
+#define FUXI_WIRE_MESSAGE(TYPE, ...)                         \
+  constexpr ::fuxi::wire::TypeInfo WireTypeInfo(const TYPE*) { \
+    return {::fuxi::wire::MsgTag::k##TYPE, __VA_ARGS__};       \
+  }
+
+class Writer;
+class Reader;
+
+/// Writes / reads one value with the encoding its C++ type selects
+/// (defined below; Writer::Vec and Reader::Vec use them per element).
+template <typename V>
+void Put(Writer& w, const V& v);
+template <typename V>
+Status Get(Reader& r, V& v);
+
 // ---------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------
@@ -177,11 +209,11 @@ class Writer {
     I64(id.value());
   }
 
-  /// Varint count + elements, each through its own codec.
+  /// Varint count + elements, each encoded as Put() chooses.
   template <typename T>
   void Vec(const std::vector<T>& v) {
     U64(v.size());
-    for (const T& elem : v) WireEncode(*this, elem);
+    for (const T& elem : v) Put(*this, elem);
   }
 
   size_t bytes_written() const { return size_; }
@@ -221,7 +253,7 @@ class Reader {
   Status U64(uint64_t* out) {
     uint64_t value = 0;
     for (int shift = 0; shift < 64; shift += 7) {
-      uint8_t b;
+      uint8_t b = 0;
       FUXI_RETURN_IF_ERROR(Byte(&b));
       uint64_t chunk = b & 0x7f;
       if (shift == 63 && chunk > 1) {
@@ -240,7 +272,7 @@ class Reader {
   }
 
   Status U32(uint32_t* out) {
-    uint64_t v;
+    uint64_t v = 0;
     FUXI_RETURN_IF_ERROR(U64(&v));
     if (v > UINT32_MAX) return Status::Corruption("wire: u32 out of range");
     *out = static_cast<uint32_t>(v);
@@ -248,14 +280,14 @@ class Reader {
   }
 
   Status I64(int64_t* out) {
-    uint64_t z;
+    uint64_t z = 0;
     FUXI_RETURN_IF_ERROR(U64(&z));
     *out = static_cast<int64_t>((z >> 1) ^ (~(z & 1) + 1));
     return Status::Ok();
   }
 
   Status I32(int32_t* out) {
-    int64_t v;
+    int64_t v = 0;
     FUXI_RETURN_IF_ERROR(I64(&v));
     if (v < INT32_MIN || v > INT32_MAX) {
       return Status::Corruption("wire: i32 out of range");
@@ -265,7 +297,7 @@ class Reader {
   }
 
   Status Bool(bool* out) {
-    uint8_t b;
+    uint8_t b = 0;
     FUXI_RETURN_IF_ERROR(Byte(&b));
     if (b > 1) return Status::Corruption("wire: bool byte not 0/1");
     *out = (b == 1);
@@ -285,7 +317,7 @@ class Reader {
   }
 
   Status Str(std::string* out) {
-    uint64_t len;
+    uint64_t len = 0;
     FUXI_RETURN_IF_ERROR(U64(&len));
     if (len > remaining()) return Truncated("string body");
     out->assign(data_.data() + pos_, len);
@@ -295,7 +327,7 @@ class Reader {
 
   template <typename Tag>
   Status Id(TypedId<Tag>* out) {
-    int64_t v;
+    int64_t v = 0;
     FUXI_RETURN_IF_ERROR(I64(&v));
     *out = TypedId<Tag>(v);
     return Status::Ok();
@@ -305,7 +337,7 @@ class Reader {
   /// declared enumerator.
   template <typename E>
   Status Enum(E* out, E max_inclusive) {
-    uint64_t raw;
+    uint64_t raw = 0;
     FUXI_RETURN_IF_ERROR(U64(&raw));
     if (raw > static_cast<uint64_t>(max_inclusive)) {
       return Status::Corruption("wire: enum value out of range");
@@ -319,7 +351,7 @@ class Reader {
   /// a giant allocation.
   template <typename T>
   Status Vec(std::vector<T>* out) {
-    uint64_t count;
+    uint64_t count = 0;
     FUXI_RETURN_IF_ERROR(U64(&count));
     if (count > remaining()) {
       return Status::Corruption("wire: vector count exceeds remaining bytes");
@@ -328,7 +360,7 @@ class Reader {
     out->reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
       T elem{};
-      FUXI_RETURN_IF_ERROR(WireDecode(*this, elem));
+      FUXI_RETURN_IF_ERROR(Get(*this, elem));
       out->push_back(std::move(elem));
     }
     return Status::Ok();
@@ -345,24 +377,151 @@ class Reader {
 };
 
 // ---------------------------------------------------------------------
-// Primitive element codecs (so Vec<primitive> works)
+// Field encodings and field lists
 // ---------------------------------------------------------------------
 
-inline void WireEncode(Writer& w, const std::string& s) { w.Str(s); }
-inline Status WireDecode(Reader& r, std::string& s) { return r.Str(&s); }
-inline void WireEncode(Writer& w, int64_t v) { w.I64(v); }
-inline Status WireDecode(Reader& r, int64_t& v) { return r.I64(&v); }
-inline void WireEncode(Writer& w, uint64_t v) { w.U64(v); }
-inline Status WireDecode(Reader& r, uint64_t& v) { return r.U64(&v); }
-inline void WireEncode(Writer& w, double v) { w.F64(v); }
-inline Status WireDecode(Reader& r, double& v) { return r.F64(&v); }
+template <typename V>
+inline constexpr bool kIsVector = false;
+template <typename T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+template <typename V>
+inline constexpr bool kIsId = false;
 template <typename Tag>
-void WireEncode(Writer& w, TypedId<Tag> id) {
-  w.Id(id);
+inline constexpr bool kIsId<TypedId<Tag>> = true;
+
+/// The one mapping from a C++ type to its encoding: scalars, strings,
+/// ids and vectors use the Writer primitive of the same name; any other
+/// class type uses its own WireEncode (found by ADL).
+template <typename V>
+void Put(Writer& w, const V& v) {
+  if constexpr (std::is_same_v<V, uint64_t>) {
+    w.U64(v);
+  } else if constexpr (std::is_same_v<V, uint32_t>) {
+    w.U32(v);
+  } else if constexpr (std::is_same_v<V, int64_t>) {
+    w.I64(v);
+  } else if constexpr (std::is_same_v<V, int32_t>) {
+    w.I32(v);
+  } else if constexpr (std::is_same_v<V, bool>) {
+    w.Bool(v);
+  } else if constexpr (std::is_same_v<V, double>) {
+    w.F64(v);
+  } else if constexpr (std::is_same_v<V, std::string>) {
+    w.Str(v);
+  } else if constexpr (kIsId<V>) {
+    w.Id(v);
+  } else if constexpr (kIsVector<V>) {
+    w.Vec(v);
+  } else {
+    static_assert(std::is_class_v<V>,
+                  "no wire encoding for this type (list an enum field as "
+                  "wire::Enum(member, max))");
+    WireEncode(w, v);
+  }
 }
-template <typename Tag>
-Status WireDecode(Reader& r, TypedId<Tag>& id) {
-  return r.Id(&id);
+
+template <typename V>
+Status Get(Reader& r, V& v) {
+  if constexpr (std::is_same_v<V, uint64_t>) {
+    return r.U64(&v);
+  } else if constexpr (std::is_same_v<V, uint32_t>) {
+    return r.U32(&v);
+  } else if constexpr (std::is_same_v<V, int64_t>) {
+    return r.I64(&v);
+  } else if constexpr (std::is_same_v<V, int32_t>) {
+    return r.I32(&v);
+  } else if constexpr (std::is_same_v<V, bool>) {
+    return r.Bool(&v);
+  } else if constexpr (std::is_same_v<V, double>) {
+    return r.F64(&v);
+  } else if constexpr (std::is_same_v<V, std::string>) {
+    return r.Str(&v);
+  } else if constexpr (kIsId<V>) {
+    return r.Id(&v);
+  } else if constexpr (kIsVector<V>) {
+    return r.Vec(&v);
+  } else {
+    static_assert(std::is_class_v<V>,
+                  "no wire encoding for this type (list an enum field as "
+                  "wire::Enum(member, max))");
+    return WireDecode(r, v);
+  }
+}
+
+/// An enum field: a varint on the wire, range-checked on decode against
+/// the largest declared enumerator (Reader::Enum).
+template <typename C, typename E>
+struct EnumField {
+  E C::*member;
+  E max_inclusive;
+};
+
+template <typename C, typename E>
+  requires std::is_enum_v<E>
+constexpr EnumField<C, E> Enum(E C::*member, E max_inclusive) {
+  return {member, max_inclusive};
+}
+
+/// A message layout: its fields in declaration order, each a pointer to
+/// member or a wire::Enum. Everything is a template argument, so the
+/// generated codecs compile to the same straight-line calls a
+/// hand-written pair would make.
+template <auto... Fields>
+struct FieldList {};
+
+/// T has a field list: a `WireFields(const T*)` returning a FieldList,
+/// found by ADL in T's namespace.
+template <typename T>
+concept FieldListed = requires(const T* p) { WireFields(p); };
+
+template <auto Field, typename T>
+void PutField(Writer& w, const T& m) {
+  if constexpr (std::is_member_object_pointer_v<decltype(Field)>) {
+    Put(w, m.*Field);
+  } else {
+    w.U64(static_cast<uint64_t>(m.*(Field.member)));
+  }
+}
+
+template <auto Field, typename T>
+Status GetField(Reader& r, T& m) {
+  if constexpr (std::is_member_object_pointer_v<decltype(Field)>) {
+    return Get(r, m.*Field);
+  } else {
+    return r.Enum(&(m.*(Field.member)), Field.max_inclusive);
+  }
+}
+
+template <typename T, auto... Fields>
+void PutFields(Writer& w, const T& m, FieldList<Fields...>) {
+  (PutField<Fields>(w, m), ...);
+}
+
+/// Decodes field by field, stopping at the first error.
+template <typename T, auto First, auto... Rest>
+Status GetFields(Reader& r, T& m, FieldList<First, Rest...>) {
+  if constexpr (sizeof...(Rest) == 0) {
+    return GetField<First>(r, m);
+  } else {
+    FUXI_RETURN_IF_ERROR(GetField<First>(r, m));
+    return GetFields(r, m, FieldList<Rest...>{});
+  }
+}
+
+/// The codec pair every field-listed type gets (found by ADL through the
+/// Writer/Reader argument). Kept out of line, so each type has one copy
+/// shared by every sender, as a hand-written pair in a .cc file would:
+/// inlined into every Network::Send they slowed the Fig 9 request path.
+template <typename T>
+  requires FieldListed<T>
+[[gnu::noinline]] void WireEncode(Writer& w, const T& m) {
+  PutFields(w, m, WireFields(&m));
+}
+
+template <typename T>
+  requires FieldListed<T>
+[[gnu::noinline]] Status WireDecode(Reader& r, T& m) {
+  return GetFields(r, m, WireFields(static_cast<const T*>(&m)));
 }
 
 /// Structural Json codec: type byte + payload, recursing through arrays

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <set>
 #include <string>
 
 #include "common/rng.h"
@@ -164,6 +165,27 @@ master::AgentAllocation RandAllocation(Rng& rng) {
   return a;
 }
 
+master::ShardStatusRpc RandShardStatus(Rng& rng) {
+  return {static_cast<int32_t>(rng.Uniform(64)), NodeId(RandI64(rng)),
+          RandU64(rng), RandI64(rng), RandRes(rng), RandRes(rng)};
+}
+
+shard::ShardDirectoryReplyRpc RandDirectoryReply(Rng& rng) {
+  shard::ShardDirectoryReplyRpc m;
+  m.request_id = RandU64(rng);
+  for (uint64_t e = rng.Uniform(4); e > 0; --e) {
+    m.entries.push_back({static_cast<int32_t>(rng.Uniform(64)),
+                         NodeId(RandI64(rng)), RandU64(rng), RandI64(rng),
+                         RandRes(rng), RandRes(rng), rng.NextDouble() * 1000});
+  }
+  return m;
+}
+
+shard::RouteSubmitRpc RandRouteSubmit(Rng& rng) {
+  return {AppId(RandI64(rng)), RandStr(rng), RandJson(rng, 3),
+          NodeId(RandI64(rng)), 1.0 + rng.NextDouble()};
+}
+
 // ------------------------------------------------ the property harness
 
 /// encode→decode→encode must be byte-identical, and the counting writer
@@ -212,7 +234,6 @@ TEST(WireRoundTripTest, ResourceProtocolMessages) {
   for (int i = 0; i < kFuzzIterations; ++i) {
     CheckRoundTrip(RandStampedRequest(rng));
     CheckRoundTrip(RandStampedGrant(rng));
-    CheckRoundTrip(resource::ResyncRequest{AppId(RandI64(rng))});
   }
 }
 
@@ -367,6 +388,238 @@ TEST(WireRoundTripTest, CoordLeaseMessages) {
   }
 }
 
+TEST(WireRoundTripTest, ShardFederationMessages) {
+  Rng rng(707);
+  for (int i = 0; i < kFuzzIterations; ++i) {
+    CheckRoundTrip(RandShardStatus(rng));
+    CheckRoundTrip(shard::ShardLookupRpc{NodeId(RandI64(rng)), RandU64(rng)});
+    CheckRoundTrip(RandDirectoryReply(rng));
+    CheckRoundTrip(RandRouteSubmit(rng));
+    CheckRoundTrip(shard::RouteReplyRpc{
+        AppId(RandI64(rng)), static_cast<int32_t>(rng.Uniform(64)) - 1,
+        rng.Uniform(2) == 1, RandStr(rng)});
+  }
+}
+
+// ------------------------------------------- frame bytes, pinned golden
+//
+// One fixed, fully populated instance of every registered top-level
+// message. The digest of their concatenated frames pins the exact bytes
+// each codec writes, so a codec refactor that changes one byte fails
+// here instead of passing every round trip. Every field holds a
+// non-default value (negative ints, multi-byte varints, non-zero enums,
+// both presence flags of UnitRequestDelta set and clear), and adjacent
+// scalar fields encode to different bytes where their types allow, so
+// swapping two of them moves the digest too.
+
+resource::ScheduleUnitDef GoldenDef(uint32_t slot) {
+  resource::ScheduleUnitDef d;
+  d.slot_id = slot;
+  d.priority = -1000 + static_cast<int32_t>(slot);
+  d.resources = cluster::ResourceVector(150, 4096);
+  d.resources.Set(5, -3);
+  return d;
+}
+
+resource::PlanningHints GoldenPlan() {
+  resource::PlanningHints p;
+  p.estimated_seconds = 12.5;
+  p.reservation = true;
+  p.reserve_start = 3.25;
+  p.deadline = 99.75;
+  p.gang_id = uint64_t{1} << 40;
+  p.gang_size = 300;
+  return p;
+}
+
+std::vector<resource::LocalityHint> GoldenHints() {
+  return {{resource::LocalityLevel::kMachine, "r01m07", 3},
+          {resource::LocalityLevel::kRack, "r01", -2},
+          {resource::LocalityLevel::kCluster, "", 1}};
+}
+
+resource::StampedRequest GoldenStampedRequest() {
+  resource::StampedRequest s;
+  s.epoch = 7;
+  s.seq = 300;
+  s.is_full = true;
+  resource::RequestMessage& m = s.payload;
+  m.delta.app = AppId(-42);
+  resource::UnitRequestDelta with_both;
+  with_both.slot_id = 3;
+  with_both.has_def = true;
+  with_both.def = GoldenDef(3);
+  with_both.total_count_delta = -5;
+  with_both.hints = GoldenHints();
+  with_both.avoid_add = {"r02m01", "r02m02"};
+  with_both.avoid_remove = {"r03m09"};
+  with_both.has_plan = true;
+  with_both.plan = GoldenPlan();
+  resource::UnitRequestDelta with_neither;
+  with_neither.slot_id = 200;
+  with_neither.total_count_delta = 1 << 20;
+  with_neither.avoid_add = {""};
+  m.delta.units = {with_both, with_neither};
+  m.releases = {{3, MachineId(17), 2}, {4, MachineId(-1), -9}};
+  resource::SlotAbsoluteState slot;
+  slot.def = GoldenDef(9);
+  slot.total_count = 64;
+  slot.hints = GoldenHints();
+  slot.avoid = {"r04m04"};
+  slot.plan = GoldenPlan();
+  m.full_slots = {slot};
+  m.held_grants = {{3, MachineId(17), 5}, {9, MachineId(1000000), 1}};
+  return s;
+}
+
+resource::StampedGrant GoldenStampedGrant() {
+  resource::StampedGrant s;
+  s.epoch = 2;
+  s.seq = 1;
+  s.is_full = false;
+  s.payload.deltas = {
+      {3, MachineId(17), 4, resource::RevocationReason::kAppRelease},
+      {3, MachineId(18), -1, resource::RevocationReason::kPreemptPriority},
+      {8, MachineId(19), -2, resource::RevocationReason::kReconcile}};
+  s.payload.full_grants = {{3, MachineId(17), 4}, {8, MachineId(20), 1}};
+  return s;
+}
+
+Json GoldenJson() {
+  Json::Object o;
+  o["name"] = Json(std::string("wordcount"));
+  o["retries"] = Json(3.0);
+  o["speculative"] = Json(true);
+  o["none"] = Json();
+  o["tasks"] = Json(Json::Array{Json(std::string("map")), Json(-0.5)});
+  return Json(std::move(o));
+}
+
+cluster::ResourceVector GoldenTotal() {
+  return cluster::ResourceVector(400000, 1 << 27);
+}
+
+/// Calls `fn` on the golden instance of every registered top-level
+/// message, in tag order.
+template <typename Fn>
+void ForEachGoldenMessage(Fn&& fn) {
+  fn(GoldenStampedRequest());
+  fn(GoldenStampedGrant());
+
+  fn(master::RequestRpc{AppId(-42), NodeId(1001), 3, GoldenStampedRequest()});
+  fn(master::GrantRpc{GoldenStampedGrant()});
+  fn(master::ResyncRpc{AppId(42), NodeId(1001), 4});
+  fn(master::BadMachineReportRpc{AppId(42), MachineId(77)});
+  master::AgentHeartbeatRpc hb;
+  hb.machine = MachineId(77);
+  hb.agent_node = NodeId(2077);
+  hb.seq = 123456789;
+  hb.health_score = 0.375;
+  hb.capacity = cluster::ResourceVector(1200, 98304);
+  hb.carries_allocations = true;
+  hb.allocations = {{AppId(42), 3, GoldenDef(3), 2},
+                    {AppId(43), 1, GoldenDef(1), -1}};
+  hb.need_capacity = true;
+  fn(hb);
+  master::AgentCapacityRpc capacity;
+  capacity.master_generation = 5;
+  capacity.seq = 1 << 14;
+  capacity.full = true;
+  capacity.entries = {{AppId(42), 3, GoldenDef(3), 2},
+                      {AppId(44), 7, GoldenDef(7), -6}};
+  fn(capacity);
+  fn(master::AgentHeartbeatAckRpc{5, true});
+  fn(master::MasterRecoveryAnnounceRpc{NodeId(3), 7});
+  fn(master::SubmitAppRpc{AppId(42), "prod/search/indexer", GoldenJson(),
+                          NodeId(9), 2.5});
+  fn(master::SubmitAppReplyRpc{AppId(42), true, "queued behind quota"});
+  fn(master::StartAppMasterRpc{AppId(42), GoldenJson()});
+  fn(master::StopAppRpc{AppId(42)});
+  fn(master::StartWorkerRpc{AppId(42), 3, NodeId(1001), 99, GoldenJson()});
+  fn(master::WorkerStartedRpc{99, WorkerId(500), MachineId(77), true,
+                              "capacity refused", {WorkerId(498), WorkerId(499)}});
+  fn(master::StopWorkerRpc{WorkerId(500)});
+  fn(master::WorkerCrashedRpc{AppId(42), 3, WorkerId(500), WorkerId(501),
+                              MachineId(77), true});
+  fn(master::AdoptQueryRpc{AppId(42), MachineId(77), NodeId(2077),
+                           {WorkerId(500), WorkerId(501)}});
+  fn(master::AdoptReplyRpc{AppId(42), MachineId(77), {WorkerId(501)}});
+
+  fn(job::WorkerReadyRpc{AppId(42), "map", WorkerId(500), MachineId(77),
+                         NodeId(3500)});
+  fn(job::ExecuteInstanceRpc{17, true, 4.5, int64_t{1} << 33, 1.75});
+  fn(job::CancelInstanceRpc{17});
+  fn(job::InstanceDoneRpc{AppId(42), "map", 17, true, WorkerId(500),
+                          MachineId(77), 6.125});
+  fn(job::WorkerStatusReportRpc{AppId(42), "reduce", WorkerId(500),
+                                MachineId(77), NodeId(3500), 18, 0.625,
+                                {1, 2, 3, 1000}});
+
+  fn(coord::LeaseAcquireRpc{"fuxi/master", NodeId(3), 10.5, 11});
+  fn(coord::LeaseRenewRpc{"fuxi/master", NodeId(3), 10.5, 12});
+  fn(coord::LeaseReleaseRpc{"fuxi/master", NodeId(3), 13});
+  fn(coord::LeaseReplyRpc{13, true, NodeId(3), 4, "held elsewhere"});
+
+  fn(master::ShardStatusRpc{2, NodeId(3), 5, 1250, GoldenTotal(),
+                            cluster::ResourceVector(1500, 1 << 20)});
+  fn(shard::ShardLookupRpc{NodeId(8000), 21});
+  shard::ShardDirectoryReplyRpc directory;
+  directory.request_id = 21;
+  directory.entries = {
+      {0, NodeId(3), 4, 1250, GoldenTotal(), cluster::ResourceVector(10, 20),
+       88.5},
+      {1, NodeId(), 0, 0, cluster::ResourceVector(), cluster::ResourceVector(),
+       -1}};
+  fn(directory);
+  fn(shard::RouteSubmitRpc{AppId(42), "prod/search", GoldenJson(), NodeId(9),
+                           0.5});
+  fn(shard::RouteReplyRpc{AppId(42), 2, true, "spilled from shard 1"});
+}
+
+/// 64-bit FNV-1a.
+uint64_t Fnv1a64(std::string_view bytes) {
+  uint64_t h = 14695981039346656037ull;
+  for (char c : bytes) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(WireGoldenTest, FrameBytesArePinned) {
+  std::string frames;
+  std::set<wire::MsgTag> covered;
+  ForEachGoldenMessage([&](const auto& msg) {
+    using T = std::decay_t<decltype(msg)>;
+    const wire::MsgTag tag = wire::TypeInfoOf<T>().tag;
+    const std::string frame = wire::EncodeToString(msg);
+    EXPECT_EQ(wire::FramedSize(msg), frame.size()) << wire::MsgTagName(tag);
+    T decoded;
+    Status status = wire::DecodeFramed(frame, &decoded);
+    EXPECT_TRUE(status.ok()) << wire::MsgTagName(tag) << ": " << status.message();
+    EXPECT_TRUE(covered.insert(tag).second) << wire::MsgTagName(tag);
+    frames += frame;
+  });
+
+  // Every registered tag has a golden instance, except the sentinel,
+  // the test-only tags and the retired resource.ResyncRequest.
+  for (int raw = 0; raw < 256; ++raw) {
+    const auto tag = static_cast<wire::MsgTag>(raw);
+    if (wire::MsgTagName(tag) == "wire.unknown") continue;
+    const bool exempt = tag == wire::MsgTag::kInvalid ||
+                        tag == wire::MsgTag::kResyncRequest ||
+                        tag == wire::MsgTag::kTestPing ||
+                        tag == wire::MsgTag::kTestPong;
+    EXPECT_EQ(covered.count(tag), exempt ? 0u : 1u) << wire::MsgTagName(tag);
+  }
+
+  // Recorded from the hand-written codecs that predate the field-list
+  // codec; any change here is a wire-format change and needs a version
+  // bump, not a new digest.
+  EXPECT_EQ(frames.size(), 1449u);
+  EXPECT_EQ(Fnv1a64(frames), 0xafaa2fc41936e1e9ull);
+}
+
 // --------------------------------------- damage batteries, per layer
 
 TEST(WireDamageTest, EveryFlipAndEveryTruncationRejected) {
@@ -405,6 +658,22 @@ TEST(WireDamageTest, EveryFlipAndEveryTruncationRejected) {
 
   CheckDamageRejected(
       coord::LeaseReplyRpc{42, true, NodeId(7), 3, "held elsewhere"}, rng);
+}
+
+TEST(WireDamageTest, FederationFlipsAndTruncationsRejected) {
+  Rng rng(808);
+  CheckDamageRejected(RandShardStatus(rng), rng);
+  CheckDamageRejected(shard::ShardLookupRpc{NodeId(8000), 21}, rng);
+  shard::ShardDirectoryReplyRpc directory = RandDirectoryReply(rng);
+  directory.entries.push_back({1, NodeId(3), 4, 1250, RandRes(rng),
+                               RandRes(rng), 88.5});
+  CheckDamageRejected(directory, rng);
+  shard::RouteSubmitRpc submit = RandRouteSubmit(rng);
+  ASSERT_EQ(static_cast<uint8_t>(wire::EncodeToString(submit)[1]), 2)
+      << "route submissions are written at v2";
+  CheckDamageRejected(submit, rng);
+  CheckDamageRejected(shard::RouteReplyRpc{AppId(42), 2, true, "spilled"},
+                      rng);
 }
 
 TEST(WireDamageTest, WrongTagRejected) {
