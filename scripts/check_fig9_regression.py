@@ -6,8 +6,10 @@ Compares a freshly generated Figure 9 report (bench_fig9_scheduling_time
 bench/baselines/BENCH_fig9.json. Points are matched by cluster size;
 p50 and p99 per-request scheduling times may not regress by more than
 --threshold (default 2x). Sub-floor values (< --floor-ms) are treated as
-equal: at microsecond scale the reservoir percentiles jitter and a 2x
-ratio there is noise, not a regression.
+equal: at tens of microseconds and below, a request's wall time is
+dominated by host noise (scheduling, caches, frequency scaling), which
+alone can move a percentile 2x between runs of the same binary, so a
+2x ratio there is noise, not a regression.
 
 Exit status: 0 OK, 1 regression, 2 usage/IO error.
 

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the full build + test suite (including the
 # observability neutrality battery, which replays campaigns with
-# ObsOptions::enabled on and off and diffs them), a fuxi_dash smoke
-# against a generated dump, then the chaos campaign sweep again under
-# ASan/UBSan (memory errors in failover and fault-recovery paths are
-# exactly what the campaigns shake out) and the parallel sweep engine
-# under TSan (data races between concurrent SimClusters are exactly
+# ObsOptions::enabled on and off and diffs them), a smoke of the three
+# tools against a generated replay, then the chaos campaign sweep again
+# under ASan/UBSan (memory errors in failover and fault-recovery paths
+# are exactly what the campaigns shake out) and the parallel sweep
+# engine under TSan (data races between concurrent SimClusters are exactly
 # what --jobs N adds). Three build trees in all: build, build-asan and
 # build-tsan.
 #
@@ -38,11 +38,13 @@ echo "== tier-1: Figure 9 scheduling-time smoke vs checked-in baseline =="
 ./build/bench/bench_fig9_scheduling_time --smoke --json build/BENCH_fig9_smoke.json
 python3 scripts/check_fig9_regression.py build/BENCH_fig9_smoke.json
 
-echo "== tier-1: fuxi_dash smoke against a generated dump =="
-# A single-seed replay writes fuxi_telemetry_seed3.json; the dashboard,
-# the per-series table, the event timeline and both exports must all
-# render non-empty output from it.
-cmake --build build -j"$(nproc)" --target fuxi_dash >/dev/null
+echo "== tier-1: tool smoke against a generated replay =="
+# A single-seed replay writes fuxi_telemetry_seed3.json,
+# fuxi_metrics_seed3.csv and fuxi_audit_seed3.json. The dashboard, the
+# per-series table (including a histogram's .p99 percentile series),
+# the event timeline and both exports, the wire-volume table and the
+# audit summary must all render non-empty output from them.
+cmake --build build -j"$(nproc)" --target fuxi_dash trace_stats fuxi_explain >/dev/null
 # grep without -q so it drains the pipe fully: -q exits at first match
 # and the dashboard's remaining writes die of SIGPIPE under pipefail.
 (cd build &&
@@ -53,7 +55,11 @@ cmake --build build -j"$(nproc)" --target fuxi_dash >/dev/null
  ./tools/fuxi_dash fuxi_telemetry_seed3.json --series master.grant_units | grep "tick" >/dev/null &&
  ./tools/fuxi_dash fuxi_telemetry_seed3.json --csv | grep "^series,kind" >/dev/null &&
  ./tools/fuxi_dash fuxi_telemetry_seed3.json --json | grep "fuxi_telemetry_decoded" >/dev/null &&
- echo "fuxi_dash smoke OK")
+ ./tools/fuxi_dash fuxi_telemetry_seed3.json --list | grep "\.p99 .* percentile " >/dev/null &&
+ ./tools/trace_stats --metrics fuxi_metrics_seed3.csv | grep "^master.GrantRpc " >/dev/null &&
+ ./tools/trace_stats --metrics fuxi_metrics_seed3.csv | grep "exact encoded frame sizes" >/dev/null &&
+ ./tools/fuxi_explain fuxi_audit_seed3.json | grep "decision records" >/dev/null &&
+ echo "tool smoke OK")
 
 echo "== tier-1: federated chaos sweep (shard crash-loops + spillover) =="
 # Four shard masters on their own election leases, a replicated shard

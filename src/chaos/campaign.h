@@ -96,7 +96,7 @@ struct CampaignResult {
   /// `trace_stats --metrics` for the byte-volume table.
   std::string metrics_csv;
   /// Virtual-time telemetry dump (obs::ExportTelemetryJson): every
-  /// sampled series delta-encoded plus the watchdog event log — the
+  /// sampled series' retained values plus the watchdog event log — the
   /// input for tools/fuxi_dash. Captured whenever the sampler ran;
   /// empty when observability is off (ObsOptions::enabled). Like
   /// metrics_csv it is NOT folded into replay_digest: deterministic

@@ -9,42 +9,47 @@ namespace fuxi {
 double Histogram::stddev() const { return std::sqrt(variance()); }
 
 double Histogram::Percentile(double q) const {
-  if (samples_.empty()) return 0.0;
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  if (q <= 0) return samples_.front();
-  if (q >= 100) return samples_.back();
-  double rank = q / 100.0 * static_cast<double>(samples_.size() - 1);
-  size_t lo = static_cast<size_t>(rank);
+  if (count_ == 0) return 0.0;
+  if (q <= 0) return min_;
+  if (q >= 100) return max_;
+  double rank = q / 100.0 * static_cast<double>(count_ - 1);
+  uint64_t lo = static_cast<uint64_t>(rank);
   double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= samples_.size()) return samples_.back();
-  return samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
+  double value = ValueAtRank(lo);
+  if (lo + 1 < count_) {
+    value = value * (1.0 - frac) + ValueAtRank(lo + 1) * frac;
+  }
+  return std::min(std::max(value, min_), max_);
 }
 
-std::vector<double> Histogram::PercentilesSnapshot(
-    const std::vector<double>& quantiles) const {
-  std::vector<double> out(quantiles.size(), 0.0);
-  if (samples_.empty()) return out;
-  std::vector<double> sorted(samples_);
-  std::sort(sorted.begin(), sorted.end());
-  for (size_t i = 0; i < quantiles.size(); ++i) {
-    double q = quantiles[i];
-    if (q <= 0) {
-      out[i] = sorted.front();
-    } else if (q >= 100) {
-      out[i] = sorted.back();
-    } else {
-      double rank = q / 100.0 * static_cast<double>(sorted.size() - 1);
-      size_t lo = static_cast<size_t>(rank);
-      double frac = rank - static_cast<double>(lo);
-      out[i] = lo + 1 >= sorted.size()
-                   ? sorted.back()
-                   : sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
-    }
+int Histogram::BucketKey(double value) {
+  if (std::isinf(value)) value = std::numeric_limits<double>::max();
+  int exponent = 0;
+  double mantissa = std::frexp(value, &exponent);  // in [0.5, 1)
+  int sub = static_cast<int>((mantissa - 0.5) * (2 * kSubBuckets));
+  return exponent * kSubBuckets + sub;
+}
+
+double Histogram::BucketValue(int key) {
+  int exponent = key / kSubBuckets;
+  int sub = key % kSubBuckets;
+  if (sub < 0) {  // floor division for keys below 2^-1
+    sub += kSubBuckets;
+    --exponent;
   }
-  return out;
+  return std::ldexp(0.5 + sub / (2.0 * kSubBuckets), exponent);
+}
+
+double Histogram::ValueAtRank(uint64_t rank) const {
+  if (rank < zero_count_) return 0.0;
+  rank -= zero_count_;
+  for (size_t i = 0; i < buckets_.size(); ++i) {
+    if (rank < buckets_[i]) {
+      return BucketValue(first_key_ + static_cast<int>(i));
+    }
+    rank -= buckets_[i];
+  }
+  return max_;
 }
 
 std::string Histogram::Summary() const {
@@ -61,9 +66,9 @@ void Histogram::Clear() {
   m2_ = 0;
   min_ = std::numeric_limits<double>::infinity();
   max_ = -std::numeric_limits<double>::infinity();
-  samples_.clear();
-  sorted_ = false;
-  rng_state_ = 0x5a17ab1e5eed0000ull;
+  zero_count_ = 0;
+  first_key_ = 0;
+  buckets_.clear();
 }
 
 double TimeSeries::MeanValue() const {

@@ -10,17 +10,21 @@
 namespace fuxi {
 
 /// Streaming summary statistics (count/mean/min/max/variance) plus a
-/// sample buffer for percentile queries. The benchmark harnesses use
-/// this to report the same aggregates the paper's tables carry.
+/// log-linear bucket count for percentile queries. The benchmark
+/// harnesses use this to report the same aggregates the paper's tables
+/// carry.
 ///
-/// The buffer is exact up to `sample_cap()` samples; beyond that it
-/// switches to reservoir sampling (Algorithm R) driven by a fixed-seed
-/// generator, so memory stays bounded over arbitrarily long chaos
-/// campaigns and identical Add() sequences still yield identical
-/// percentiles on replay. Streaming stats always cover every sample.
+/// Each power of two is split into kSubBuckets equal-width buckets and
+/// a bucket is represented by its lower bound, so a percentile is off
+/// by at most 1/kSubBuckets relative (integers below 256 are exact).
+/// Non-positive values share one bucket represented by 0. Memory is
+/// bounded by the value range, not the sample count, and Percentile()
+/// is a pure function of the multiset of samples: insertion order and
+/// earlier queries never change it. Count, sum, mean, min, max and
+/// variance are exact.
 class Histogram {
  public:
-  static constexpr size_t kDefaultSampleCap = 1 << 16;
+  static constexpr int kSubBuckets = 128;
 
   void Add(double value) {
     ++count_;
@@ -31,30 +35,22 @@ class Histogram {
     double delta = value - mean_;
     mean_ += delta / static_cast<double>(count_);
     m2_ += delta * (value - mean_);
-    if (samples_.size() < sample_cap_) {
-      samples_.push_back(value);
+    if (!(value > 0)) {
+      ++zero_count_;
       return;
     }
-    // Reservoir: keep with probability cap/count, evicting uniformly.
-    uint64_t j = NextRandom() % count_;
-    if (j < samples_.size()) {
-      samples_[static_cast<size_t>(j)] = value;
-      sorted_ = false;
+    int key = BucketKey(value);
+    if (buckets_.empty()) {
+      first_key_ = key;
+    } else if (key < first_key_) {
+      buckets_.insert(buckets_.begin(),
+                      static_cast<size_t>(first_key_ - key), 0);
+      first_key_ = key;
     }
+    size_t index = static_cast<size_t>(key - first_key_);
+    if (index >= buckets_.size()) buckets_.resize(index + 1, 0);
+    ++buckets_[index];
   }
-
-  /// Caps the percentile buffer; takes effect immediately (the buffer
-  /// is truncated if already above `cap`). A cap of 0 keeps streaming
-  /// stats only — Percentile() then returns 0.
-  void SetSampleCap(size_t cap) {
-    sample_cap_ = cap;
-    if (samples_.size() > cap) {
-      samples_.resize(cap);
-      sorted_ = false;
-    }
-  }
-  size_t sample_cap() const { return sample_cap_; }
-  size_t sample_count() const { return samples_.size(); }
 
   uint64_t count() const { return count_; }
   double sum() const { return sum_; }
@@ -66,18 +62,10 @@ class Histogram {
   }
   double stddev() const;
 
-  /// Exact percentile (q in [0,100]) over all added samples.
+  /// Percentile (q in [0,100]): rank interpolation between the bucket
+  /// representatives of the neighbouring sorted samples, clamped to the
+  /// exact [min, max]. p0 is min and p100 is max.
   double Percentile(double q) const;
-
-  /// Percentiles computed over a *copy* of the sample buffer, leaving
-  /// the reservoir's element order untouched. Mid-run observers (the
-  /// telemetry sampler) must use this instead of Percentile(): the
-  /// in-place sort Percentile() performs changes which elements later
-  /// reservoir evictions replace, so an extra mid-run query would
-  /// perturb end-of-run percentiles and break sampler-on/off replay
-  /// identity. One copy + sort serves all requested quantiles.
-  std::vector<double> PercentilesSnapshot(
-      const std::vector<double>& quantiles) const;
 
   /// "count=N mean=X p50=... p99=... max=..." summary line.
   std::string Summary() const;
@@ -85,14 +73,10 @@ class Histogram {
   void Clear();
 
  private:
-  // splitmix64: deterministic, seedless (fixed initial state) so two
-  // histograms fed the same values keep identical reservoirs.
-  uint64_t NextRandom() {
-    uint64_t z = (rng_state_ += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
+  static int BucketKey(double value);
+  static double BucketValue(int key);
+  /// Representative of the sample at sorted position `rank`.
+  double ValueAtRank(uint64_t rank) const;
 
   uint64_t count_ = 0;
   double sum_ = 0;
@@ -100,10 +84,9 @@ class Histogram {
   double m2_ = 0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-  size_t sample_cap_ = kDefaultSampleCap;
-  uint64_t rng_state_ = 0x5a17ab1e5eed0000ull;
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
+  uint64_t zero_count_ = 0;
+  int first_key_ = 0;              // bucket key of buckets_[0]
+  std::vector<uint64_t> buckets_;  // dense counts from first_key_ up
 };
 
 /// (time, value) series, used to emit the Figure 9 / Figure 10 curves.

@@ -442,7 +442,8 @@ void FuxiMaster::ApplyRequestMessage(AppRecord* record,
                                      const resource::RequestMessage& msg,
                                      bool is_full) {
   // The Figure 9 measurement: real wall-clock time of the full request
-  // path. Measured when either the legacy sample vector or the registry
+  // path. Measured when the raw per-request vector (decision_micros(),
+  // read by the Fig 9/10 benches and perfbench) or the registry
   // histogram wants it; the span additionally carries the cost so a
   // trace dump shows where scheduler time went.
   bool timing = time_decisions_ || schedule_wall_us_ != nullptr;

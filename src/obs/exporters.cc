@@ -60,48 +60,6 @@ std::string ExportChromeTrace(const std::vector<SpanRecord>& spans) {
   return ChromeTraceJson(spans).Dump();
 }
 
-Json MetricsToJson(const MetricsRegistry& registry) {
-  Json doc = Json::MakeObject();
-  Json counters = Json::MakeObject();
-  for (const auto& [name, counter] : registry.counters()) {
-    counters[name] = counter->value();
-  }
-  doc["counters"] = std::move(counters);
-  Json gauges = Json::MakeObject();
-  for (const auto& [name, gauge] : registry.gauges()) {
-    gauges[name] = gauge->value();
-  }
-  doc["gauges"] = std::move(gauges);
-  Json histograms = Json::MakeObject();
-  for (const auto& [name, histogram] : registry.histograms()) {
-    Json h = Json::MakeObject();
-    h["count"] = histogram->count();
-    h["mean"] = histogram->mean();
-    h["min"] = histogram->min();
-    h["max"] = histogram->max();
-    h["p50"] = histogram->Percentile(50);
-    h["p95"] = histogram->Percentile(95);
-    h["p99"] = histogram->Percentile(99);
-    histograms[name] = std::move(h);
-  }
-  doc["histograms"] = std::move(histograms);
-  if (!registry.all_series().empty()) {
-    Json series = Json::MakeObject();
-    for (const auto& [name, ts] : registry.all_series()) {
-      Json points = Json::MakeArray();
-      for (const TimeSeries::Point& p : ts.points()) {
-        Json pt = Json::MakeArray();
-        pt.Append(p.time);
-        pt.Append(p.value);
-        points.Append(std::move(pt));
-      }
-      series[name] = std::move(points);
-    }
-    doc["series"] = std::move(series);
-  }
-  return doc;
-}
-
 std::string MetricsToCsv(const MetricsRegistry& registry) {
   std::string out = "kind,name,count,value,mean,p50,p95,p99,min,max,realtime\n";
   for (const auto& [name, counter] : registry.counters()) {

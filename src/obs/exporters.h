@@ -21,9 +21,6 @@ std::string ExportChromeTrace(const std::vector<SpanRecord>& spans);
 /// dump instead of writing it to disk.
 Json ChromeTraceJson(const std::vector<SpanRecord>& spans);
 
-/// All instruments (and any snapshot series) as one JSON object.
-Json MetricsToJson(const MetricsRegistry& registry);
-
 /// "kind,name,value,..." CSV — one row per instrument, sorted by name.
 /// The trailing `realtime` column is 1 for instruments tagged via
 /// MetricsRegistry::MarkRealtime (real wall-clock measurements that

@@ -1,8 +1,6 @@
 #ifndef FUXI_OBS_OBSERVABILITY_H_
 #define FUXI_OBS_OBSERVABILITY_H_
 
-#include <cstddef>
-
 #include "obs/audit.h"
 #include "obs/metrics_registry.h"
 #include "obs/telemetry.h"
@@ -17,12 +15,6 @@ struct ObsOptions {
   /// way the simulation itself is unchanged (the neutrality battery in
   /// tests/obs_neutrality_test.cc diffs replays with it on and off).
   bool enabled = true;
-  /// Completed spans retained by the flight recorder ring.
-  size_t trace_ring_capacity = TraceRecorder::kDefaultRingCapacity;
-  /// Decision records retained by the audit ring.
-  size_t audit_ring_capacity = AuditLog::kDefaultCapacity;
-  /// Virtual-time sampler + SLO watchdog configuration.
-  TelemetryOptions telemetry;
 };
 
 /// The per-cluster observability bundle: one trace recorder, one
@@ -32,10 +24,10 @@ struct ObsOptions {
 /// network) so instruments outlive everything that points at them.
 struct Observability {
   explicit Observability(sim::Simulator* sim, const ObsOptions& options = {})
-      : trace(sim, options.trace_ring_capacity, options.enabled),
-        audit(sim, &trace, options.audit_ring_capacity, options.enabled),
-        telemetry(&metrics, options.telemetry),
-        watchdog(&trace, &audit, options.telemetry.max_events) {
+      : trace(sim, options.enabled),
+        audit(sim, &trace, AuditLog::kDefaultCapacity, options.enabled),
+        telemetry(&metrics),
+        watchdog(&trace, &audit) {
     // Every sample tick runs the watchdog's rules; with observability
     // off the sampler is never polled and the lambda never fires.
     telemetry.SetOnSample(

@@ -1,6 +1,8 @@
 #include "obs/telemetry.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/strings.h"
 
@@ -14,11 +16,8 @@ constexpr std::string_view kSeriesKindNames[] = {
 constexpr std::string_view kRuleKindNames[] = {
     "threshold", "rate", "sustained"};
 
-/// Largest magnitude a scaled sample may take. Chosen so scaled values
-/// survive a JSON round trip exactly (Json numbers are doubles; every
-/// integer up to 2^52 is representable): instruments up to ~4.5e9 keep
-/// full 1e-6 resolution, larger ones saturate instead of corrupting.
-constexpr double kScaledLimit = 4.5e15;
+/// Format marker of the dump; TelemetryDumpFromJson refuses others.
+constexpr int64_t kDumpVersion = 2;
 
 }  // namespace
 
@@ -30,28 +29,20 @@ std::string_view SloRuleKindName(SloRuleKind kind) {
   return kRuleKindNames[static_cast<size_t>(kind)];
 }
 
-int64_t TelemetrySeries::ToScaled(double value) {
-  double scaled = value * kScale;
-  if (std::isnan(scaled)) return 0;
-  if (scaled >= kScaledLimit) return static_cast<int64_t>(kScaledLimit);
-  if (scaled <= -kScaledLimit) return -static_cast<int64_t>(kScaledLimit);
-  return static_cast<int64_t>(std::llround(scaled));
-}
-
 void TelemetrySeries::Append(int64_t tick, double value) {
-  int64_t scaled = ToScaled(value);
-  int64_t delta = scaled - last_scaled_;
-  last_scaled_ = scaled;
+  // The dump is JSON, which has no NaN or infinity: NaN is stored as 0
+  // and infinities saturate at the largest finite double.
+  constexpr double kMax = std::numeric_limits<double>::max();
+  value = std::isnan(value) ? 0.0 : std::clamp(value, -kMax, kMax);
   if (count_ == 0) first_tick_ = tick;
-  if (count_ < deltas_.size()) {
-    deltas_[(head_ + count_) % deltas_.size()] = delta;
+  if (count_ < values_.size()) {
+    values_[(head_ + count_) % values_.size()] = value;
     ++count_;
   } else {
-    // Ring full: fold the oldest delta into the base and reuse its
-    // slot for the newest — the retained window slides forward by one.
-    base_ += deltas_[head_];
-    deltas_[head_] = delta;
-    head_ = (head_ + 1) % deltas_.size();
+    // Ring full: the newest value takes the oldest one's slot and the
+    // retained window slides forward by one.
+    values_[head_] = value;
+    head_ = (head_ + 1) % values_.size();
     ++first_tick_;
   }
   ++total_;
@@ -60,32 +51,14 @@ void TelemetrySeries::Append(int64_t tick, double value) {
 std::vector<double> TelemetrySeries::Values() const {
   std::vector<double> out;
   out.reserve(count_);
-  int64_t acc = base_;
-  for (size_t i = 0; i < count_; ++i) {
-    acc += deltas_[(head_ + i) % deltas_.size()];
-    out.push_back(static_cast<double>(acc) / kScale);
-  }
+  for (size_t i = 0; i < count_; ++i) out.push_back(At(i));
   return out;
 }
 
 bool TelemetrySeries::ValueAt(int64_t tick, double* out) const {
   if (count_ == 0 || tick < first_tick_ || tick > last_tick()) return false;
-  size_t steps = static_cast<size_t>(tick - first_tick_);
-  int64_t acc = base_;
-  for (size_t i = 0; i <= steps; ++i) {
-    acc += deltas_[(head_ + i) % deltas_.size()];
-  }
-  *out = static_cast<double>(acc) / kScale;
+  *out = At(static_cast<size_t>(tick - first_tick_));
   return true;
-}
-
-std::vector<int64_t> TelemetrySeries::DeltasInOrder() const {
-  std::vector<int64_t> out;
-  out.reserve(count_);
-  for (size_t i = 0; i < count_; ++i) {
-    out.push_back(deltas_[(head_ + i) % deltas_.size()]);
-  }
-  return out;
 }
 
 TelemetrySeries& TelemetrySampler::Slot(const std::string& name,
@@ -94,8 +67,7 @@ TelemetrySeries& TelemetrySampler::Slot(const std::string& name,
   auto it = series_.find(name);
   if (it == series_.end()) {
     it = series_
-             .emplace(name, TelemetrySeries(kind, options_.ring_capacity,
-                                            realtime))
+             .emplace(name, TelemetrySeries(kind, kRingCapacity, realtime))
              .first;
   }
   return it->second;
@@ -111,21 +83,11 @@ void TelemetrySampler::SampleTick(int64_t tick) {
         .Append(tick, gauge->value());
   }
   for (const auto& [name, histogram] : metrics_->histograms()) {
-    HistCache& cache = hist_cache_[name];
-    if (histogram->count() != cache.count) {
-      // PercentilesSnapshot copies the reservoir before sorting, so
-      // mid-run queries cannot perturb end-of-run percentiles (the
-      // sampler-on/off identity contract).
-      std::vector<double> ps = histogram->PercentilesSnapshot({50.0, 99.0});
-      cache.count = histogram->count();
-      cache.p50 = ps[0];
-      cache.p99 = ps[1];
-    }
     bool realtime = metrics_->is_realtime(name);
     Slot(name + ".p50", TelemetrySeries::Kind::kPercentile, realtime)
-        .Append(tick, cache.p50);
+        .Append(tick, histogram->Percentile(50));
     Slot(name + ".p99", TelemetrySeries::Kind::kPercentile, realtime)
-        .Append(tick, cache.p99);
+        .Append(tick, histogram->Percentile(99));
   }
   for (const auto& [name, probe] : probes_) {
     Slot(name, TelemetrySeries::Kind::kDerived, false)
@@ -142,7 +104,7 @@ void TelemetrySampler::SampleTick(int64_t tick) {
                       ? 0.0
                       : (static_cast<double>(current) -
                          static_cast<double>(last)) /
-                            options_.interval;
+                            kInterval;
     last = current;
     Slot(name + ".rate", TelemetrySeries::Kind::kDerived,
          metrics_->is_realtime(name))
@@ -173,8 +135,7 @@ void SloWatchdog::Evaluate(const TelemetrySampler& sampler, double now) {
         break;
       }
       case SloRuleKind::kRate: {
-        double interval = sampler.interval();
-        if (interval <= 0) break;
+        constexpr double interval = TelemetrySampler::kInterval;
         int64_t lookback = rule.window > 0
                                ? std::max<int64_t>(
                                      1, std::llround(rule.window / interval))
@@ -240,9 +201,8 @@ void SloWatchdog::Fire(const SloRule& rule, double now, double value) {
 Json TelemetryJson(const TelemetrySampler& sampler,
                    const SloWatchdog& watchdog, bool include_realtime) {
   Json doc = Json::MakeObject();
-  doc["fuxi_telemetry"] = 1;
-  doc["interval"] = sampler.interval();
-  doc["scale"] = TelemetrySeries::kScale;
+  doc["fuxi_telemetry"] = kDumpVersion;
+  doc["interval"] = TelemetrySampler::kInterval;
   doc["samples"] = sampler.samples_taken();
   Json series = Json::MakeArray();
   for (const auto& [name, s] : sampler.all_series()) {
@@ -252,11 +212,10 @@ Json TelemetryJson(const TelemetrySampler& sampler,
     entry["kind"] = std::string(TelemetrySeriesKindName(s.kind()));
     if (s.realtime()) entry["realtime"] = true;
     entry["first_tick"] = s.first_tick();
-    entry["base"] = s.base_scaled();
     entry["total"] = s.total_appended();
-    Json deltas = Json::MakeArray();
-    for (int64_t d : s.DeltasInOrder()) deltas.Append(d);
-    entry["deltas"] = std::move(deltas);
+    Json values = Json::MakeArray();
+    for (double v : s.Values()) values.Append(v);
+    entry["values"] = std::move(values);
     series.Append(std::move(entry));
   }
   doc["series"] = std::move(series);
@@ -292,12 +251,10 @@ const TelemetryDump::Series* TelemetryDump::Find(
 
 TelemetryDump TelemetryDumpFromJson(const Json& doc) {
   TelemetryDump dump;
-  if (doc.Find("fuxi_telemetry") == nullptr) return dump;
+  if (doc.GetInt("fuxi_telemetry", 0) != kDumpVersion) return dump;
   dump.interval = doc.GetNumber("interval", 1.0);
   dump.samples = doc.GetInt("samples", 0);
   dump.events_dropped = static_cast<uint64_t>(doc.GetInt("events_dropped", 0));
-  double scale = doc.GetNumber("scale", TelemetrySeries::kScale);
-  if (scale <= 0) scale = TelemetrySeries::kScale;
   if (const Json* series = doc.Find("series");
       series != nullptr && series->is_array()) {
     for (const Json& entry : series->as_array()) {
@@ -307,13 +264,11 @@ TelemetryDump TelemetryDumpFromJson(const Json& doc) {
       s.realtime = entry.GetBool("realtime", false);
       s.first_tick = entry.GetInt("first_tick", 0);
       s.total = static_cast<uint64_t>(entry.GetInt("total", 0));
-      double acc = static_cast<double>(entry.GetInt("base", 0));
-      if (const Json* deltas = entry.Find("deltas");
-          deltas != nullptr && deltas->is_array()) {
-        s.values.reserve(deltas->as_array().size());
-        for (const Json& d : deltas->as_array()) {
-          acc += d.is_number() ? d.as_number() : 0;
-          s.values.push_back(acc / scale);
+      if (const Json* values = entry.Find("values");
+          values != nullptr && values->is_array()) {
+        s.values.reserve(values->as_array().size());
+        for (const Json& v : values->as_array()) {
+          s.values.push_back(v.is_number() ? v.as_number() : 0);
         }
       }
       dump.series.push_back(std::move(s));

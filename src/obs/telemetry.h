@@ -16,25 +16,10 @@
 
 namespace fuxi::obs {
 
-/// Sampler + watchdog configuration. Whether the sampler runs at all is
-/// ObsOptions::enabled: with it false the cluster never attaches the
-/// sampler to the simulator, so no tick is ever taken.
-struct TelemetryOptions {
-  /// Virtual seconds between samples. Sample k lands at exactly
-  /// k * interval — never at "now", so two runs executing the same
-  /// event sequence sample at identical virtual times.
-  double interval = 1.0;
-  /// Retained samples per series; older deltas fold into the base.
-  size_t ring_capacity = 2048;
-  /// HealthEvents retained by the watchdog before counting drops.
-  size_t max_events = 512;
-};
-
-/// One fixed-cadence metric history: values are stored as fixed-point
-/// (1e-6 resolution) *deltas* in a bounded ring, so a flat series costs
-/// one small integer per tick and an hour-long campaign's history stays
-/// compact. When the ring wraps, the oldest delta folds into `base`, so
-/// the retained window always reconstructs exactly.
+/// One fixed-cadence metric history: plain values in a bounded ring,
+/// so an hour-long campaign's history stays bounded. When the ring
+/// wraps, the oldest value is overwritten and the retained window
+/// slides forward by one tick.
 ///
 /// Ticks are integer sample indexes (time = tick * interval); a series
 /// created mid-run starts at the tick that first saw it.
@@ -42,13 +27,9 @@ class TelemetrySeries {
  public:
   enum class Kind : uint8_t { kCounter, kGauge, kDerived, kPercentile };
 
-  /// Fixed-point resolution. Values are quantized to 1e-6 — far below
-  /// instrument noise, and exact for counters and integral gauges.
-  static constexpr double kScale = 1e6;
-
   TelemetrySeries(Kind kind, size_t capacity, bool realtime)
       : kind_(kind), realtime_(realtime),
-        deltas_(capacity > 0 ? capacity : 1) {}
+        values_(capacity > 0 ? capacity : 1) {}
 
   /// Appends the sample for `tick`. Ticks must be consecutive from the
   /// first appended tick (the sampler guarantees this).
@@ -56,7 +37,7 @@ class TelemetrySeries {
 
   Kind kind() const { return kind_; }
   bool realtime() const { return realtime_; }
-  size_t capacity() const { return deltas_.size(); }
+  size_t capacity() const { return values_.size(); }
   size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
   /// Tick index of the oldest retained sample.
@@ -69,10 +50,7 @@ class TelemetrySeries {
   uint64_t total_appended() const { return total_; }
 
   /// Newest value (0 when empty).
-  double Latest() const {
-    return count_ == 0 ? 0.0
-                       : static_cast<double>(last_scaled_) / kScale;
-  }
+  double Latest() const { return count_ == 0 ? 0.0 : At(count_ - 1); }
 
   /// Retained values, oldest first.
   std::vector<double> Values() const;
@@ -80,21 +58,15 @@ class TelemetrySeries {
   /// Value at `tick`; false when outside the retained window.
   bool ValueAt(int64_t tick, double* out) const;
 
-  /// Scaled value preceding the oldest retained delta (for export).
-  int64_t base_scaled() const { return base_; }
-  /// Retained deltas, oldest first (for export).
-  std::vector<int64_t> DeltasInOrder() const;
-
  private:
-  static int64_t ToScaled(double value);
+  /// The i-th retained value, oldest first.
+  double At(size_t i) const { return values_[(head_ + i) % values_.size()]; }
 
   Kind kind_;
   bool realtime_;
   int64_t first_tick_ = 0;
-  int64_t base_ = 0;         // scaled value just before deltas_[head_]
-  int64_t last_scaled_ = 0;  // scaled newest value
-  std::vector<int64_t> deltas_;
-  size_t head_ = 0;  // ring index of the oldest delta
+  std::vector<double> values_;
+  size_t head_ = 0;  // ring index of the oldest value
   size_t count_ = 0;
   uint64_t total_ = 0;
 };
@@ -141,18 +113,20 @@ struct HealthEvent {
 /// Samples every MetricsRegistry instrument into TelemetrySeries at a
 /// fixed virtual-time cadence, plus caller-registered derived probes
 /// and counter rates. Strictly observational: sampling reads
-/// instruments through const paths only (histogram percentiles via
-/// PercentilesSnapshot, which never reorders the reservoir), so a
-/// sampler attached or detached can never change simulation state,
-/// replay digests, or end-of-run metric exports.
+/// instruments through const paths only (Histogram::Percentile is a
+/// pure function of the samples), so a sampler attached or detached
+/// can never change simulation state, replay digests, or end-of-run
+/// metric exports.
 class TelemetrySampler {
  public:
-  TelemetrySampler(MetricsRegistry* metrics,
-                   const TelemetryOptions& options = {})
-      : metrics_(metrics), options_(options) {}
+  /// Virtual seconds between samples. Sample k lands at exactly
+  /// k * kInterval — never at "now", so two runs executing the same
+  /// event sequence sample at identical virtual times.
+  static constexpr double kInterval = 1.0;
+  /// Retained samples per series.
+  static constexpr size_t kRingCapacity = 2048;
 
-  const TelemetryOptions& options() const { return options_; }
-  double interval() const { return options_.interval; }
+  explicit TelemetrySampler(MetricsRegistry* metrics) : metrics_(metrics) {}
 
   /// Registers a derived series computed by calling `probe` at every
   /// sample (per-shard imbalance, overcommit units, ...). The probe
@@ -180,7 +154,7 @@ class TelemetrySampler {
   /// k * interval — a deterministic function of the event sequence.
   void Poll(double now) {
     if (metrics_ == nullptr) return;
-    while (static_cast<double>(next_tick_) * options_.interval <= now) {
+    while (TickTime(next_tick_) <= now) {
       SampleTick(next_tick_);
       ++next_tick_;
     }
@@ -189,7 +163,7 @@ class TelemetrySampler {
   /// Ticks sampled so far.
   int64_t samples_taken() const { return next_tick_; }
   double TickTime(int64_t tick) const {
-    return static_cast<double>(tick) * options_.interval;
+    return static_cast<double>(tick) * kInterval;
   }
 
   const TelemetrySeries* series(const std::string& name) const {
@@ -205,20 +179,12 @@ class TelemetrySampler {
   TelemetrySeries& Slot(const std::string& name, TelemetrySeries::Kind kind,
                         bool realtime);
 
-  struct HistCache {
-    uint64_t count = 0;
-    double p50 = 0;
-    double p99 = 0;
-  };
-
   MetricsRegistry* metrics_;
-  TelemetryOptions options_;
   int64_t next_tick_ = 0;
   uint64_t total_rate_samples_ = 0;
   std::map<std::string, TelemetrySeries> series_;
   std::vector<std::pair<std::string, std::function<double()>>> probes_;
   std::vector<std::pair<std::string, uint64_t>> rates_;  // name, last value
-  std::map<std::string, HistCache> hist_cache_;
   std::function<void(double)> on_sample_;
 };
 
@@ -273,8 +239,9 @@ class SloWatchdog {
 
 // --- export / import ---------------------------------------------------
 
-/// The whole sampler state — every series delta-encoded, plus the
-/// watchdog's event log — as one JSON document with sorted series.
+/// The whole sampler state — every series' retained values, plus the
+/// watchdog's event log — as one JSON document with sorted series
+/// (format marker `"fuxi_telemetry": 2`).
 /// `include_realtime=false` drops realtime-tagged series (and derived
 /// percentile series of realtime histograms): what remains must be
 /// byte-identical across --jobs values and repeat runs of a seed.
@@ -294,7 +261,7 @@ struct TelemetryDump {
     bool realtime = false;
     int64_t first_tick = 0;
     uint64_t total = 0;
-    std::vector<double> values;  ///< decoded, oldest first
+    std::vector<double> values;  ///< oldest first
   };
 
   double interval = 0;
@@ -307,7 +274,8 @@ struct TelemetryDump {
 };
 
 /// Parses a document produced by TelemetryJson (tolerant of absent
-/// optional fields). Returns an empty dump for non-telemetry documents.
+/// optional fields). Returns an empty dump for any document without
+/// format marker 2, including version-1 delta-encoded dumps.
 TelemetryDump TelemetryDumpFromJson(const Json& doc);
 
 }  // namespace fuxi::obs

@@ -6,9 +6,8 @@
 
 namespace fuxi::obs {
 
-TraceRecorder::TraceRecorder(sim::Simulator* sim, size_t ring_capacity,
-                             bool enabled)
-    : sim_(sim), enabled_(enabled), flight_(ring_capacity) {}
+TraceRecorder::TraceRecorder(sim::Simulator* sim, bool enabled)
+    : sim_(sim), enabled_(enabled), flight_(kRingCapacity) {}
 
 uint64_t TraceRecorder::BeginSpan(const char* category, const char* name) {
   if (!enabled_) return 0;

@@ -35,9 +35,7 @@ namespace fuxi::obs {
 /// DropSpan and Network::Deliver already treat as untraced.
 class TraceRecorder {
  public:
-  explicit TraceRecorder(sim::Simulator* sim,
-                         size_t ring_capacity = kDefaultRingCapacity,
-                         bool enabled = true);
+  explicit TraceRecorder(sim::Simulator* sim, bool enabled = true);
 
   /// Begins a local (non-message) span parented to the ambient span.
   uint64_t BeginSpan(const char* category, const char* name);
@@ -87,7 +85,8 @@ class TraceRecorder {
 
   void Clear();
 
-  static constexpr size_t kDefaultRingCapacity = 1 << 16;
+  /// Completed spans retained by the flight recorder ring.
+  static constexpr size_t kRingCapacity = 1 << 16;
 
  private:
   void Finish(uint64_t id, double wall_us, bool dropped);

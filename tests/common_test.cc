@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/json.h"
 #include "common/metrics.h"
 #include "common/rng.h"
@@ -254,62 +257,96 @@ TEST(HistogramTest, PercentileAfterAddStaysCorrect) {
   EXPECT_DOUBLE_EQ(h.Percentile(100), 20);
 }
 
-TEST(HistogramTest, ReservoirCapsBufferButStreamsExactAggregates) {
-  Histogram h;
-  h.SetSampleCap(100);
-  for (int i = 1; i <= 10000; ++i) h.Add(i);
-  EXPECT_EQ(h.count(), 10000u);
-  EXPECT_EQ(h.sample_count(), 100u);  // buffer bounded
-  // Streaming stats still cover every sample exactly.
-  EXPECT_DOUBLE_EQ(h.min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.max(), 10000.0);
-  EXPECT_NEAR(h.mean(), 5000.5, 1e-9);
-  // The reservoir is an unbiased uniform sample, so the median estimate
-  // lands near the true median (loose bound: +/- 20% is far outside
-  // what Algorithm R with 100 samples produces for this range).
-  EXPECT_NEAR(h.Percentile(50), 5000.0, 2000.0);
-}
-
-TEST(HistogramTest, ReservoirIsDeterministicAcrossInstances) {
-  Histogram a;
-  Histogram b;
-  a.SetSampleCap(64);
-  b.SetSampleCap(64);
-  for (int i = 0; i < 5000; ++i) {
-    a.Add(i * 3.0);
-    b.Add(i * 3.0);
-  }
-  // Fixed-seed generator: identical Add() sequences keep identical
-  // reservoirs, so replayed campaigns report identical percentiles.
-  for (double q : {1.0, 25.0, 50.0, 75.0, 99.0}) {
-    EXPECT_DOUBLE_EQ(a.Percentile(q), b.Percentile(q));
-  }
-  a.Clear();
-  for (int i = 0; i < 5000; ++i) a.Add(i * 3.0);
-  EXPECT_DOUBLE_EQ(a.Percentile(50), b.Percentile(50));  // Clear reseeds
-}
-
 TEST(HistogramTest, PercentilesExactBelowCap) {
+  // Integers below 256 sit in unit-width buckets, so their percentiles
+  // are exact.
   Histogram h;
-  h.SetSampleCap(100);
   for (int i = 1; i <= 100; ++i) h.Add(i);
-  EXPECT_EQ(h.sample_count(), 100u);
-  EXPECT_NEAR(h.Percentile(50), 50.5, 0.01);  // exact, no sampling yet
+  EXPECT_NEAR(h.Percentile(50), 50.5, 0.01);
   EXPECT_DOUBLE_EQ(h.Percentile(100), 100);
 }
 
-TEST(HistogramTest, ShrinkingCapTruncatesAndZeroCapDisablesPercentiles) {
+/// Exact rank-interpolated percentile of `samples` (sorted in place).
+double ExactPercentile(std::vector<double>* samples, double q) {
+  std::sort(samples->begin(), samples->end());
+  double rank = q / 100.0 * static_cast<double>(samples->size() - 1);
+  size_t lo = static_cast<size_t>(rank);
+  double frac = rank - static_cast<double>(lo);
+  if (lo + 1 >= samples->size()) return samples->back();
+  return (*samples)[lo] * (1.0 - frac) + (*samples)[lo + 1] * frac;
+}
+
+std::vector<double> LognormalSamples(size_t n) {
+  Rng rng(2014);
+  std::vector<double> samples;
+  samples.reserve(n);
+  for (size_t i = 0; i < n; ++i) samples.push_back(rng.LogNormal(3.0, 1.5));
+  return samples;
+}
+
+TEST(HistogramTest, PercentilesWithinBucketErrorBeyondOldSampleCap) {
+  // 200,000 samples: three times the 65,536 raw samples the histogram
+  // once kept before falling back to reservoir sampling.
+  std::vector<double> samples = LognormalSamples(200000);
   Histogram h;
-  for (int i = 1; i <= 1000; ++i) h.Add(i);
-  h.SetSampleCap(10);
-  EXPECT_EQ(h.sample_count(), 10u);
-  h.SetSampleCap(0);
-  EXPECT_EQ(h.sample_count(), 0u);
-  h.Add(42);
-  EXPECT_EQ(h.sample_count(), 0u);       // streaming-only mode
-  EXPECT_DOUBLE_EQ(h.Percentile(50), 0);  // no buffer, documented zero
-  EXPECT_EQ(h.count(), 1001u);
-  EXPECT_DOUBLE_EQ(h.max(), 1000.0);
+  for (double v : samples) h.Add(v);
+  EXPECT_EQ(h.count(), samples.size());
+  for (double q : {1.0, 50.0, 90.0, 99.0, 99.9}) {
+    double exact = ExactPercentile(&samples, q);
+    EXPECT_NEAR(h.Percentile(q), exact, exact / Histogram::kSubBuckets)
+        << "p" << q;
+  }
+  EXPECT_DOUBLE_EQ(h.Percentile(0), samples.front());
+  EXPECT_DOUBLE_EQ(h.Percentile(100), samples.back());
+  EXPECT_DOUBLE_EQ(h.min(), samples.front());
+  EXPECT_DOUBLE_EQ(h.max(), samples.back());
+}
+
+TEST(HistogramTest, PercentilesIgnoreInsertionOrder) {
+  std::vector<double> samples = LognormalSamples(20000);
+  Histogram in_order;
+  for (double v : samples) in_order.Add(v);
+  std::vector<double> shuffled = samples;
+  Rng rng(7);
+  for (size_t i = shuffled.size() - 1; i > 0; --i) {
+    size_t j = static_cast<size_t>(rng.Uniform(i + 1));
+    std::swap(shuffled[i], shuffled[j]);
+  }
+  Histogram reordered;
+  for (double v : shuffled) reordered.Add(v);
+  for (double q : {0.0, 1.0, 25.0, 50.0, 75.0, 99.0, 99.9, 100.0}) {
+    EXPECT_EQ(in_order.Percentile(q), reordered.Percentile(q)) << "p" << q;
+  }
+}
+
+TEST(HistogramTest, MidStreamQueriesLeaveLaterResultsUnchanged) {
+  std::vector<double> samples = LognormalSamples(20000);
+  Histogram queried;
+  Histogram quiet;
+  for (size_t i = 0; i < samples.size(); ++i) {
+    queried.Add(samples[i]);
+    quiet.Add(samples[i]);
+    if (i % 997 == 0) {
+      queried.Percentile(50);
+      queried.Percentile(99);
+    }
+  }
+  for (double q : {1.0, 50.0, 90.0, 99.0, 99.9}) {
+    EXPECT_EQ(queried.Percentile(q), quiet.Percentile(q)) << "p" << q;
+  }
+}
+
+TEST(HistogramTest, NonPositiveValuesShareTheZeroBucket) {
+  Histogram h;
+  for (double v : {-4.0, 0.0, 0.0, 10.0}) h.Add(v);
+  EXPECT_DOUBLE_EQ(h.Percentile(0), -4.0);
+  EXPECT_DOUBLE_EQ(h.Percentile(50), 0.0);
+  EXPECT_DOUBLE_EQ(h.Percentile(100), 10.0);
+  h.Clear();
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_DOUBLE_EQ(h.Percentile(50), 0.0);
+  h.Add(0.25);
+  EXPECT_DOUBLE_EQ(h.Percentile(50), 0.25);
 }
 
 TEST(TimeSeriesTest, DownsampleAveragesBuckets) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "cluster/topology.h"
 #include "common/rng.h"
 #include "resource/scheduler.h"
@@ -21,6 +23,14 @@ struct FuzzParams {
   bool preemption;
   bool locality_tree;
 };
+
+// Names each instance by its fields; without it gtest prints the raw
+// object bytes, padding included, which differ between builds.
+void PrintTo(const FuzzParams& params, std::ostream* os) {
+  *os << "seed" << params.seed << (params.quota ? "_quota" : "")
+      << (params.preemption ? "_preempt" : "")
+      << (params.locality_tree ? "_tree" : "");
+}
 
 class SchedulerFuzzTest : public ::testing::TestWithParam<FuzzParams> {};
 

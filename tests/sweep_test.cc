@@ -302,8 +302,6 @@ TEST(ConcurrentClusters, MetricSnapshotsShowNoCrossTalk) {
     app.MarkSubmitted(cluster.sim().Now());
     app.StartMaster();
     cluster.RunFor(30.0);
-
-    cluster.obs().metrics.SnapshotAt(cluster.sim().Now());
     return obs::StripRealtimeRows(obs::MetricsToCsv(cluster.obs().metrics));
   };
   std::string alone_a = run_cluster(11);

@@ -1,12 +1,13 @@
 // fuxi::obs::telemetry correctness battery.
 //
 // Four layers under test, mirroring the subsystem's guarantees:
-//  * TelemetrySeries delta-ring mechanics — wrap retention, exact
-//    reconstruction, mid-run series birth;
+//  * TelemetrySeries ring mechanics — wrap retention, exact values,
+//    mid-run series birth;
 //  * the SLO watchdog's three rule shapes (threshold / rate /
 //    sustained) against hand-fed series, including cooldown and
 //    breach-interruption edges;
-//  * the round trip TelemetryJson -> TelemetryDumpFromJson;
+//  * the round trip TelemetryJson -> TelemetryDumpFromJson, and the
+//    refusal of version-1 dumps;
 //  * campaign integration: 20 seeds sampled under --jobs 1 and
 //    --jobs 4 must dump byte-identical telemetry once realtime-tagged
 //    series are dropped, and the seeded restore-bug campaign must raise
@@ -53,9 +54,8 @@ TEST(TelemetrySeries, AppendsAndReconstructsExactly) {
 }
 
 TEST(TelemetrySeries, RingWrapRetainsNewestWindowExactly) {
-  // Capacity 4, 10 appends: ticks 6..9 must survive, reconstructed to
-  // the exact fed values even though their deltas chain through an
-  // evicted base.
+  // Capacity 4, 10 appends: ticks 6..9 must survive with the exact fed
+  // values; ticks 0..5 are overwritten.
   TelemetrySeries series(TelemetrySeries::Kind::kCounter, 4, false);
   for (int64_t tick = 0; tick < 10; ++tick) {
     series.Append(tick, static_cast<double>(tick * tick));
@@ -85,7 +85,7 @@ TEST(TelemetrySeries, MidRunBirthStartsAtFirstSampledTick) {
 /// one virtual second and polls.
 struct SamplerHarness {
   obs::MetricsRegistry metrics;
-  obs::TelemetrySampler sampler{&metrics, {}};
+  obs::TelemetrySampler sampler{&metrics};
   double now = 0;
 
   void Step(double dt = 1.0) {
@@ -154,7 +154,7 @@ TEST(TelemetrySampler, ProbesBecomeDerivedSeries) {
 /// test mutates between steps — the minimal harness for rule edges.
 struct WatchdogHarness {
   obs::MetricsRegistry metrics;
-  obs::TelemetrySampler sampler{&metrics, {}};
+  obs::TelemetrySampler sampler{&metrics};
   obs::SloWatchdog watchdog{nullptr, nullptr, 512};
   double level = 0;
   double now = -1;
@@ -289,7 +289,7 @@ TEST(SloWatchdog, MissingSeriesNeverFires) {
 
 TEST(SloWatchdog, EventRingBoundsAndCountsDrops) {
   obs::MetricsRegistry metrics;
-  obs::TelemetrySampler sampler(&metrics, {});
+  obs::TelemetrySampler sampler(&metrics);
   obs::SloWatchdog watchdog(nullptr, nullptr, /*max_events=*/2);
   double level = 100;
   sampler.AddProbe("probe", [&level] { return level; });
@@ -337,6 +337,22 @@ TEST(TelemetryExport, JsonRoundTripsSeriesAndEvents) {
   EXPECT_DOUBLE_EQ(dump.events[0].value, 7);
 }
 
+TEST(TelemetryExport, VersionOneDumpIsRefused) {
+  // The delta-encoded version-1 layout ("deltas" from a scaled "base")
+  // must read as not-a-dump, never as series of zeros or empty series.
+  const char* kVersionOne =
+      R"({"fuxi_telemetry":1,"interval":1,"scale":1000000,"samples":2,)"
+      R"("series":[{"name":"probe","kind":"derived","first_tick":0,)"
+      R"("base":0,"total":2,"deltas":[1000000,6000000]}],)"
+      R"("events":[],"events_dropped":0})";
+  Result<Json> parsed = Json::Parse(kVersionOne);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  obs::TelemetryDump dump = obs::TelemetryDumpFromJson(parsed.value());
+  EXPECT_EQ(dump.samples, 0);
+  EXPECT_TRUE(dump.series.empty());
+  EXPECT_TRUE(dump.events.empty());
+}
+
 // ------------------------------------------------ campaign integration
 
 /// Strips realtime-tagged series from a telemetry JSON dump and returns
@@ -359,7 +375,7 @@ std::string DeterministicTelemetry(const std::string& json) {
 
 TEST(TelemetryDeterminism, TwentySeedsDumpIdenticallyAcrossJobs) {
   // The tentpole determinism bar: per-seed telemetry dumps (sampled off
-  // simulator ticks, exported as delta-encoded JSON) are byte-identical
+  // simulator ticks, exported as JSON) are byte-identical
   // between a serial sweep and a 4-worker sweep once realtime-tagged
   // series (wall-clock percentiles) are dropped. 20 seeds, same range
   // as the replay-digest battery in sweep_test.cc.

@@ -7,7 +7,7 @@
 //   fuxi_dash dump.json --series NAME   # full tick-by-tick value table
 //   fuxi_dash dump.json --events        # watchdog health-event timeline
 //   fuxi_dash dump.json --csv           # long-form CSV of every sample
-//   fuxi_dash dump.json --json          # decoded dump (deltas expanded)
+//   fuxi_dash dump.json --json          # decoded dump
 //
 // The dashboard shows, per series: kind, sample count, min/mean/max/
 // latest over the retained window, and a sparkline of the values scaled
@@ -172,8 +172,8 @@ void PrintCsv(const TelemetryDump& dump) {
   }
 }
 
-/// Decoded JSON: the dump with every delta chain expanded to absolute
-/// values — what a plotting notebook wants to ingest directly.
+/// Decoded JSON: the dump's series and events re-emitted in the layout
+/// TelemetryDump holds — what a plotting notebook wants to ingest.
 void PrintJson(const TelemetryDump& dump) {
   fuxi::Json doc = fuxi::Json::MakeObject();
   doc["fuxi_telemetry_decoded"] = fuxi::Json(int64_t{1});
@@ -262,8 +262,8 @@ int main(int argc, char** argv) {
   TelemetryDump dump = fuxi::obs::TelemetryDumpFromJson(parsed.value());
   if (dump.series.empty() && dump.samples == 0) {
     std::fprintf(stderr,
-                 "fuxi_dash: %s is not a telemetry dump (missing "
-                 "fuxi_telemetry marker) or sampled nothing\n",
+                 "fuxi_dash: %s is not a version-2 telemetry dump "
+                 "(fuxi_telemetry marker) or sampled nothing\n",
                  path);
     return 1;
   }
