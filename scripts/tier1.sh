@@ -90,14 +90,14 @@ echo "== tier-1: hierarchical fair-share gates + multi-tenant chaos =="
 if [[ "$skip_asan" == 1 ]]; then
   echo "== tier-1: ASan/UBSan pass skipped =="
 else
-  echo "== tier-1: chaos campaign, wire fuzz and scheduler suites under ASan/UBSan =="
+  echo "== tier-1: chaos campaign, wire/JSON fuzz and scheduler suites under ASan/UBSan =="
   # The scheduler suites hold raw PendingDemand pointers across demand
   # creation and teardown; together they add about a second here.
   cmake -B build-asan -S . -DFUXI_SANITIZE=address,undefined >/dev/null
   cmake --build build-asan -j"$(nproc)" --target fuxi_tests
   (cd build-asan &&
    ./tests/fuxi_tests \
-     --gtest_filter='*ChaosCampaign.*:Shard*:ScriptedChaosTest.*:Wire*:NetworkTest.*:Planner*:LocalityTree*:*LocalityTreeFuzzTest.*:SchedulerTest.*:*SchedulerFuzzTest.*:SchedulerDifferentialSweepTest.*')
+     --gtest_filter='*ChaosCampaign.*:Shard*:ScriptedChaosTest.*:Wire*:JsonTest.*:NetworkTest.*:Planner*:LocalityTree*:*LocalityTreeFuzzTest.*:SchedulerTest.*:*SchedulerFuzzTest.*:SchedulerDifferentialSweepTest.*')
 fi
 
 if [[ "$skip_tsan" == 1 ]]; then

@@ -376,7 +376,7 @@ void FuxiAgent::InjectWorkerCrash(WorkerId worker) {
   note.machine = machine();
 
   int& restarts = restart_counts_[worker];
-  if (restarts < options_.worker_restart_limit) {
+  if (restarts < kWorkerRestartLimit) {
     ++restarts;
     // Restart in place under the same grant (paper: the agent watches
     // the worker's status and restarts it if it crashes).

@@ -22,9 +22,6 @@ namespace fuxi::agent {
 
 struct FuxiAgentOptions {
   double heartbeat_interval = 1.0;
-  /// How many times a crashed worker is restarted in place before the
-  /// failure is only reported to the application master.
-  int worker_restart_limit = 2;
   /// Time to bring a worker process up (package download + exec). The
   /// paper measures 11.84 s with 400 MB worker binaries (Table 2); the
   /// default models a warm package cache. This cost is exactly why
@@ -62,6 +59,10 @@ class FuxiAgent : public sim::Actor {
   /// the job runtime (or test harness).
   using AppMasterLauncher =
       std::function<void(const master::StartAppMasterRpc&, MachineId)>;
+
+  /// How many times a crashed worker is restarted in place before the
+  /// failure is only reported to the application master.
+  static constexpr int kWorkerRestartLimit = 2;
 
   FuxiAgent(sim::Simulator* simulator, net::Network* network,
             coord::LockService* locks, ProcessHost* host,

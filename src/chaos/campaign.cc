@@ -190,12 +190,12 @@ CampaignResult RunCampaign(uint64_t seed, const CampaignConfig& config) {
   };
   runtime::SimCluster cluster(options);
   InstallStandardSloRules(cluster.obs().watchdog);
-  InvariantMonitor monitor(&cluster, config.monitor);
+  InvariantMonitor monitor(&cluster);
   ChaosEngine engine(&cluster);
 
   cluster.Start();
   monitor.Start();
-  cluster.RunFor(config.warmup);
+  cluster.RunFor(CampaignConfig::kWarmup);
 
   // Sharded campaigns submit through the federation router; the reply
   // names the shard that accepted the app, and the app's master follows
@@ -262,7 +262,7 @@ CampaignResult RunCampaign(uint64_t seed, const CampaignConfig& config) {
     stage.slot_id = 0;
     stage.workers = config.workers_per_app;
     stage.instances = config.instances_per_app;
-    stage.instance_duration = config.instance_duration;
+    stage.instance_duration = CampaignConfig::kInstanceDuration;
     apps.push_back(std::make_unique<runtime::SyntheticApp>(
         &cluster, app_id, std::vector<runtime::SyntheticStage>{stage},
         seed * 1315423911ull + static_cast<uint64_t>(i)));
@@ -293,12 +293,12 @@ CampaignResult RunCampaign(uint64_t seed, const CampaignConfig& config) {
     stage.slot_id = 0;
     stage.workers = config.workers_per_app;
     stage.instances = config.instances_per_app;
-    stage.instance_duration = config.instance_duration;
+    stage.instance_duration = CampaignConfig::kInstanceDuration;
     int64_t waves =
         (config.instances_per_app + config.workers_per_app - 1) /
         std::max<int64_t>(config.workers_per_app, 1);
     stage.plan.estimated_seconds =
-        config.instance_duration * static_cast<double>(waves);
+        CampaignConfig::kInstanceDuration * static_cast<double>(waves);
     stage.plan.gang_id = 9000 + static_cast<uint64_t>(i);
     stage.plan.gang_size = 1;
     apps.push_back(std::make_unique<runtime::SyntheticApp>(
@@ -334,12 +334,12 @@ CampaignResult RunCampaign(uint64_t seed, const CampaignConfig& config) {
       stage.slot_id = 0;
       stage.workers = config.workers_per_app;
       stage.instances = config.instances_per_app;
-      stage.instance_duration = config.instance_duration;
+      stage.instance_duration = CampaignConfig::kInstanceDuration;
       apps.push_back(std::make_unique<runtime::SyntheticApp>(
           &cluster, app_id, std::vector<runtime::SyntheticStage>{stage},
           seed * 2654435761ull + static_cast<uint64_t>(j)));
       cluster.sim().ScheduleAt(
-          config.plan.start + config.plan.duration * 0.5,
+          ChaosEngine::kPlanStart + config.plan.duration * 0.5,
           [&submit_via_router, app_id] { submit_via_router(app_id); });
     }
   }
@@ -431,12 +431,12 @@ CampaignResult RunCampaign(uint64_t seed, const CampaignConfig& config) {
           << cluster.sim().ExecutedEvents() << " done=" << instances_done()
           << " violations=" << monitor.violations().size() << " digest="
           << std::hex << monitor.state_hash() << std::dec << "\n";
-    cluster.sim().Schedule(config.digest_interval, sample);
+    cluster.sim().Schedule(CampaignConfig::kDigestInterval, sample);
   };
-  cluster.sim().Schedule(config.digest_interval, sample);
+  cluster.sim().Schedule(CampaignConfig::kDigestInterval, sample);
 
   engine.ScheduleRandomCampaign(seed, config.plan);
-  cluster.RunUntil(config.plan.start + config.plan.duration);
+  cluster.RunUntil(ChaosEngine::kPlanStart + config.plan.duration);
   engine.HealEverything();
 
   // Bind the spillover wave: their submissions fired mid-window, so by
@@ -447,7 +447,7 @@ CampaignResult RunCampaign(uint64_t seed, const CampaignConfig& config) {
   }
 
   // Liveness: once faults cease, every app must finish.
-  double deadline = cluster.sim().Now() + config.settle_timeout;
+  double deadline = cluster.sim().Now() + CampaignConfig::kSettleTimeout;
   while (cluster.sim().Now() < deadline && !all_finished()) {
     cluster.RunFor(1.0);
   }
@@ -456,7 +456,7 @@ CampaignResult RunCampaign(uint64_t seed, const CampaignConfig& config) {
     result.completed_at = cluster.sim().Now();
   } else {
     std::ostringstream detail;
-    detail << "jobs incomplete " << config.settle_timeout
+    detail << "jobs incomplete " << CampaignConfig::kSettleTimeout
            << "s after faults ceased:";
     for (const auto& synthetic : apps) {
       if (!synthetic->finished()) {
@@ -469,7 +469,7 @@ CampaignResult RunCampaign(uint64_t seed, const CampaignConfig& config) {
   }
 
   // Quiesce: let sustained trackers and the final reconcile fire/clear.
-  cluster.RunFor(config.cooldown);
+  cluster.RunFor(CampaignConfig::kCooldown);
   monitor.CheckNow();
   sampling = false;
 
@@ -525,14 +525,6 @@ CampaignConfig ShardedCampaignConfig(int shards) {
   config.apps = std::max(2, shards);
   config.spillover_apps = 2;
   config.plan.episodes = 8;
-  // A shard crash-loop can swallow an app's FinishApp: the recovering
-  // primary resurrects the app from its checkpoint and only repairs it
-  // via the silent-AM restart (app_master_timeout, 20s) — the restarted
-  // AM re-finishes and releases the stray workers. The orphan grace
-  // must cover that whole repair path, not just the master→agent
-  // revocation hop the unsharded default assumes.
-  config.monitor.orphan_grace =
-      config.cluster.master.app_master_timeout + 10.0;
   return config;
 }
 

@@ -13,11 +13,24 @@
 namespace fuxi::chaos {
 
 /// Everything one chaos campaign needs: the cluster shape, the
-/// synthetic workload, the fault plan and the invariant tolerances.
+/// synthetic workload and the fault plan.
 /// A campaign is fully determined by (seed, config): rerunning the same
 /// pair reproduces the identical fault log, event trace and state hash.
 struct CampaignConfig {
   CampaignConfig();
+
+  // Fixed campaign timings, virtual seconds.
+  static constexpr double kInstanceDuration = 1.0;
+  /// Election + first heartbeats settle before submission.
+  static constexpr double kWarmup = 3.0;
+  /// Eventual-completion deadline after HealEverything(); missing it is
+  /// itself an invariant violation (liveness once faults cease).
+  static constexpr double kSettleTimeout = 300.0;
+  /// Quiesced tail after completion so sustained-condition trackers and
+  /// the final reconcile sweep get a chance to fire or clear.
+  static constexpr double kCooldown = 25.0;
+  /// Virtual seconds between digest lines in the replay trace.
+  static constexpr double kDigestInterval = 5.0;
 
   runtime::SimClusterOptions cluster;
   int apps = 2;
@@ -28,7 +41,6 @@ struct CampaignConfig {
   int spillover_apps = 0;
   int64_t workers_per_app = 4;
   int64_t instances_per_app = 48;
-  double instance_duration = 1.0;
   /// fuxi::planner workload: this many EXTRA apps whose single stage is
   /// a gang (all-or-nothing worker set with a lifetime estimate).
   /// Default 0 — the legacy campaigns and their golden digests never
@@ -43,17 +55,7 @@ struct CampaignConfig {
   /// golden digests — byte-identical.
   int tenants = 0;
   int tenant_depth = 2;
-  /// Election + first heartbeats settle before submission.
-  double warmup = 3.0;
   CampaignPlanOptions plan;
-  /// Eventual-completion deadline after HealEverything(); missing it is
-  /// itself an invariant violation (liveness once faults cease).
-  double settle_timeout = 300.0;
-  /// Quiesced tail after completion so sustained-condition trackers and
-  /// the final reconcile sweep get a chance to fire or clear.
-  double cooldown = 25.0;
-  /// Virtual seconds between digest lines in the replay trace.
-  double digest_interval = 5.0;
   /// Chaos knob: skip the Figure 7 grant restore on failover, seeding
   /// the double-grant bug the monitor must catch.
   bool seed_restore_bug = false;
@@ -62,7 +64,6 @@ struct CampaignConfig {
   /// fuxi_explain — including --tenant rejection chains — always has
   /// input to work with.
   bool dump_audit = false;
-  InvariantMonitorOptions monitor;
 };
 
 struct CampaignResult {

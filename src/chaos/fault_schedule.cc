@@ -329,9 +329,8 @@ void ChaosEngine::ScheduleRandomCampaign(uint64_t seed,
   for (size_t i = pool.size(); i > 1; --i) {
     std::swap(pool[i - 1], pool[rng.Uniform(i)]);
   }
-  size_t protect = std::min<size_t>(
-      pool.size() > 1 ? pool.size() - 1 : 0,
-      static_cast<size_t>(std::max(plan.protected_machines, 0)));
+  size_t protect =
+      std::min(pool.size() > 1 ? pool.size() - 1 : 0, kProtectedMachines);
   size_t usable = pool.size() - protect;
   size_t next_machine = 0;
   auto take_machine = [&](MachineId* out) {
@@ -355,28 +354,17 @@ void ChaosEngine::ScheduleRandomCampaign(uint64_t seed,
     kReservationChurn,
     kGangMemberLoss,
   };
-  std::vector<Kind> kinds;
-  if (plan.machine_faults) {
-    kinds.insert(kinds.end(), {kMachineBounce, kMachineBounce, kAgentBounce,
-                               kAgentBounce});
-  }
-  if (plan.rack_faults) kinds.push_back(kRackOutage);
-  if (plan.master_faults) {
-    kinds.insert(kinds.end(), {kMasterFailover, kMasterCrashLoop});
-  }
-  if (plan.link_faults) kinds.push_back(kLinkCut);
-  if (plan.flap_faults) kinds.push_back(kFlap);
-  if (plan.burst_faults) {
-    kinds.insert(kinds.end(), {kDropBurst, kDuplicateBurst});
-  }
+  std::vector<Kind> kinds = {
+      kMachineBounce, kMachineBounce, kAgentBounce, kAgentBounce,
+      kRackOutage, kMasterFailover, kMasterCrashLoop, kLinkCut, kFlap,
+      kDropBurst, kDuplicateBurst};
   // Federation faults only exist in sharded clusters, so the unsharded
   // kind pool — and with it every rng draw below — is exactly the
   // legacy stream (golden replays pin this).
-  if (cluster_->shard_count() > 1 && plan.master_faults) {
+  if (cluster_->shard_count() > 1) {
     kinds.insert(kinds.end(), {kShardCrashLoop, kShardCrashLoop});
   }
-  if (cluster_->shard_count() > 1 && cluster_->directory_count() > 0 &&
-      plan.link_faults) {
+  if (cluster_->shard_count() > 1 && cluster_->directory_count() > 0) {
     kinds.push_back(kDirectoryOutage);
   }
   // Planner faults are opt-in, so the legacy kind pool — and every rng
@@ -384,16 +372,15 @@ void ChaosEngine::ScheduleRandomCampaign(uint64_t seed,
   if (plan.planner_faults) {
     kinds.insert(kinds.end(), {kReservationChurn, kGangMemberLoss});
   }
-  if (kinds.empty()) return;
 
   bool rack_done = false;
-  double lease = cluster_->options().master.lock_lease;
+  double lease = master::FuxiMaster::kLockLease;
   for (int episode = 0; episode < plan.episodes; ++episode) {
     Kind kind = kinds[rng.Uniform(kinds.size())];
-    double outage = plan.min_outage +
-                    rng.NextDouble() * (plan.max_outage - plan.min_outage);
-    double latest = plan.start + std::max(plan.duration - outage, 0.0);
-    double t0 = plan.start + rng.NextDouble() * (latest - plan.start);
+    double outage =
+        kMinOutage + rng.NextDouble() * (kMaxOutage - kMinOutage);
+    double latest = kPlanStart + std::max(plan.duration - outage, 0.0);
+    double t0 = kPlanStart + rng.NextDouble() * (latest - kPlanStart);
     MachineId machine;
     switch (kind) {
       case kMachineBounce:
@@ -430,9 +417,9 @@ void ChaosEngine::ScheduleRandomCampaign(uint64_t seed,
           kills = 1;
           span = gap;
         }
-        double last_start = plan.start + std::max(plan.duration - span, 0.0);
+        double last_start = kPlanStart + std::max(plan.duration - span, 0.0);
         double loop_t0 =
-            plan.start + rng.NextDouble() * (last_start - plan.start);
+            kPlanStart + rng.NextDouble() * (last_start - kPlanStart);
         At(loop_t0, MasterCrashLoop(kills, gap));
         break;
       }
@@ -463,9 +450,9 @@ void ChaosEngine::ScheduleRandomCampaign(uint64_t seed,
           kills = 1;
           span = gap;
         }
-        double last_start = plan.start + std::max(plan.duration - span, 0.0);
+        double last_start = kPlanStart + std::max(plan.duration - span, 0.0);
         double loop_t0 =
-            plan.start + rng.NextDouble() * (last_start - plan.start);
+            kPlanStart + rng.NextDouble() * (last_start - kPlanStart);
         At(loop_t0, ShardCrashLoop(shard, kills, gap));
         break;
       }

@@ -1,6 +1,7 @@
 #ifndef FUXI_CHAOS_FAULT_SCHEDULE_H_
 #define FUXI_CHAOS_FAULT_SCHEDULE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -26,25 +27,18 @@ struct Fault {
 
 /// Parameters of a seeded random campaign: `episodes` paired
 /// onset/recovery fault episodes drawn over the window
-/// [start, start + duration] (absolute virtual time). Every episode
-/// schedules its own recovery, so the cluster is nominally whole again
-/// shortly after the window closes; HealEverything() is the belt and
-/// braces for anything a cancelled or overlapping episode left broken.
+/// [ChaosEngine::kPlanStart, kPlanStart + duration] (absolute virtual
+/// time). Every episode schedules its own recovery, so the cluster is
+/// nominally whole again shortly after the window closes;
+/// HealEverything() is the belt and braces for anything a cancelled or
+/// overlapping episode left broken. The mix always holds machine
+/// halt/revive and agent bounces, rack power loss, primary kills and
+/// crash loops, asymmetric uplink cuts, flaps and drop/duplicate
+/// bursts; sharded clusters add shard crash loops and directory
+/// outages.
 struct CampaignPlanOptions {
-  double start = 6.0;
   double duration = 40.0;
   int episodes = 6;
-  double min_outage = 2.0;
-  double max_outage = 10.0;
-  /// Machines excluded from machine-scoped faults, so the cluster keeps
-  /// enough capacity to make progress through the worst of the window.
-  int protected_machines = 2;
-  bool machine_faults = true;   ///< halt/revive and agent bounce
-  bool rack_faults = true;      ///< correlated rack power loss
-  bool master_faults = true;    ///< primary kill + crash loops
-  bool link_faults = true;      ///< asymmetric agent-uplink cuts
-  bool flap_faults = true;      ///< periodic partition/heal cycles
-  bool burst_faults = true;     ///< drop / duplicate probability bursts
   /// fuxi::planner faults (reservation churn, gang-member machine
   /// loss). Default OFF: the legacy kind pool — and with it every rng
   /// draw of the seeded schedule — stays exactly the golden-pinned
@@ -64,6 +58,16 @@ class ChaosEngine {
     std::string description;
   };
 
+  /// Random campaigns: the fault window opens here (absolute virtual
+  /// time) and each episode's outage is drawn from
+  /// [kMinOutage, kMaxOutage].
+  static constexpr double kPlanStart = 6.0;
+  static constexpr double kMinOutage = 2.0;
+  static constexpr double kMaxOutage = 10.0;
+  /// Machines excluded from machine-scoped faults, so the cluster keeps
+  /// enough capacity to make progress through the worst of the window.
+  static constexpr size_t kProtectedMachines = 2;
+
   explicit ChaosEngine(runtime::SimCluster* cluster);
 
   /// Schedules `fault` at absolute virtual time `when` (clamped to now).
@@ -79,7 +83,7 @@ class ChaosEngine {
   Fault RestartDeadMasters();
   /// Kills the primary `kills` times, `gap` seconds apart, restarting
   /// dead replicas between kills so each takeover is freshly murdered —
-  /// timed against lease expiry when gap > lock_lease.
+  /// timed against lease expiry when gap > FuxiMaster::kLockLease.
   Fault MasterCrashLoop(int kills, double gap);
   Fault HaltMachine(MachineId machine);
   Fault ReviveMachine(MachineId machine);

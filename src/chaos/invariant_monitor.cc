@@ -8,10 +8,11 @@
 
 namespace fuxi::chaos {
 
-InvariantMonitor::InvariantMonitor(runtime::SimCluster* cluster,
-                                   InvariantMonitorOptions options)
-    : cluster_(cluster), options_(options) {
+InvariantMonitor::InvariantMonitor(runtime::SimCluster* cluster)
+    : cluster_(cluster) {
   FUXI_CHECK(cluster != nullptr);
+  orphan_grace_ =
+      cluster->shard_count() > 1 ? kShardedOrphanGrace : kOrphanGrace;
   size_t shards = static_cast<size_t>(cluster->shard_count());
   last_shard_generation_.assign(shards, 0);
   shard_machine_count_.assign(shards, 0);
@@ -37,7 +38,7 @@ void InvariantMonitor::Stop() {
 
 void InvariantMonitor::OnEvent(double now) {
   CheapChecks(now);
-  if (now - last_heavy_ >= options_.heavy_check_interval) {
+  if (now - last_heavy_ >= kHeavyCheckInterval) {
     last_heavy_ = now;
     HeavyChecks(now);
   }
@@ -57,7 +58,7 @@ void InvariantMonitor::Report(const std::string& invariant,
 
 void InvariantMonitor::Record(double now, const std::string& invariant,
                               const std::string& detail) {
-  if (violations_.size() >= options_.max_violations) return;
+  if (violations_.size() >= kMaxViolations) return;
   FUXI_LOG(kWarning) << "invariant violated at t=" << now << ": "
                      << invariant << " (" << detail << ")";
   const obs::Observability& obs = cluster_->obs();
@@ -131,26 +132,20 @@ void InvariantMonitor::CheapChecks(double now) {
         ++primaries;
         if (m->node() == holder) holder_primary = m;
       }
-      if (options_.check_single_primary) {
-        // A primary that no longer holds the lock must notice at its next
-        // renewal and step down; staying in charge past the grace window
-        // means two masters could be dispatching grants concurrently.
-        Sustained(
-            "primary-without-lock:node" + std::to_string(m->node().value()),
-            acting_primary && m->node() != holder,
-            options_.split_brain_grace, now,
-            "master node " + std::to_string(m->node().value()) +
-                " acts as primary but the lock is held by node " +
-                std::to_string(holder.value()));
-      }
+      // A primary that no longer holds the lock must notice at its next
+      // renewal and step down; staying in charge past the grace window
+      // means two masters could be dispatching grants concurrently.
+      Sustained(
+          "primary-without-lock:node" + std::to_string(m->node().value()),
+          acting_primary && m->node() != holder, kSplitBrainGrace, now,
+          "master node " + std::to_string(m->node().value()) +
+              " acts as primary but the lock is held by node " +
+              std::to_string(holder.value()));
     }
-    if (options_.check_single_primary) {
-      Sustained("single-primary" + suffix, primaries > 1,
-                options_.split_brain_grace, now,
-                std::to_string(primaries) +
-                    " masters act as primary at once");
-    }
-    if (options_.check_generation_monotonic && holder_primary != nullptr) {
+    Sustained("single-primary" + suffix, primaries > 1, kSplitBrainGrace,
+              now,
+              std::to_string(primaries) + " masters act as primary at once");
+    if (holder_primary != nullptr) {
       uint64_t generation = holder_primary->generation();
       uint64_t& last_generation =
           last_shard_generation_[static_cast<size_t>(k)];
@@ -193,39 +188,33 @@ void InvariantMonitor::HeavyChecks(double now) {
     Fold(primary != nullptr ? primary->generation() : 0);
 
     if (primary != nullptr && primary->scheduler() != nullptr) {
-      if (options_.check_scheduler_conservation &&
-          !primary->scheduler()->CheckInvariants()) {
+      if (!primary->scheduler()->CheckInvariants()) {
         Record(now, "scheduler-conservation" + suffix,
                "scheduler cross-structure audit failed (free+granted vs "
                "capacity, quota accounting, or locality-tree totals)");
       }
       // fuxi::planner invariants. No Fold: the planner is absent in
       // legacy runs and the golden replays pin the fold stream.
-      if (options_.check_planner_overcommit &&
-          !primary->scheduler()->PlannerOvercommitOk()) {
+      if (!primary->scheduler()->PlannerOvercommitOk()) {
         Record(now, "planner-overcommit" + suffix,
                "a machine or rack timeline admits booked load above "
                "free-now + expected releases at some scheduled point");
       }
-      if (options_.check_gang_atomicity &&
-          !primary->scheduler()->PlannerGangAtomicityOk()) {
+      if (!primary->scheduler()->PlannerGangAtomicityOk()) {
         Record(now, "gang-atomicity" + suffix,
                "an unstarted gang holds grants on at least one member "
                "(all-or-nothing transaction leaked a partial placement)");
       }
-      if (options_.check_blacklist_cap) {
-        size_t cap = static_cast<size_t>(
-            cluster_->options().master.blacklist_cap_fraction *
-            static_cast<double>(
-                shard_machine_count_[static_cast<size_t>(k)]));
-        if (cap < 1) cap = 1;
-        size_t blacklisted = primary->Blacklisted().size();
-        Fold(blacklisted);
-        if (blacklisted > cap) {
-          Record(now, "blacklist-cap" + suffix,
-                 std::to_string(blacklisted) +
-                     " machines blacklisted, cap is " + std::to_string(cap));
-        }
+      size_t cap = static_cast<size_t>(
+          cluster_->options().master.blacklist_cap_fraction *
+          static_cast<double>(shard_machine_count_[static_cast<size_t>(k)]));
+      if (cap < 1) cap = 1;
+      size_t blacklisted = primary->Blacklisted().size();
+      Fold(blacklisted);
+      if (blacklisted > cap) {
+        Record(now, "blacklist-cap" + suffix,
+               std::to_string(blacklisted) +
+                   " machines blacklisted, cap is " + std::to_string(cap));
       }
     }
   }
@@ -234,7 +223,7 @@ void InvariantMonitor::HeavyChecks(double now) {
   // fold stream is untouched): the federation as a whole must never
   // promise more than the online machines physically have, even while
   // spillover moves load between shards.
-  if (shards > 1 && options_.check_scheduler_conservation) {
+  if (shards > 1) {
     cluster::ResourceVector global_granted;
     cluster::ResourceVector global_capacity;
     for (master::FuxiMaster* primary : primaries) {
@@ -259,25 +248,22 @@ void InvariantMonitor::HeavyChecks(double now) {
     agent::FuxiAgent* agent = cluster_->agent(machine.id);
     agent::ProcessHost* host = cluster_->host(machine.id);
 
-    if (options_.check_agent_overcommit) {
-      // A dead agent has no table; the sustained window restarts from
-      // scratch once it revives (a stale `since` would fire spuriously).
-      bool over = false;
-      cluster::ResourceVector promised;
-      if (agent->is_alive()) {
-        promised = agent->TotalGrantedCapacity();
-        Fold(static_cast<uint64_t>(promised.cpu()));
-        Fold(static_cast<uint64_t>(promised.memory()));
-        over = !promised.FitsIn(machine.capacity);
-      }
-      Sustained("agent-overcommit:" + mtag, over, options_.overcommit_grace,
-                now,
-                "agent on machine " + std::to_string(machine.id.value()) +
-                    " holds capacity " + promised.ToString() +
-                    " above physical " + machine.capacity.ToString());
+    // A dead agent has no table; the sustained window restarts from
+    // scratch once it revives (a stale `since` would fire spuriously).
+    bool over = false;
+    cluster::ResourceVector promised;
+    if (agent->is_alive()) {
+      promised = agent->TotalGrantedCapacity();
+      Fold(static_cast<uint64_t>(promised.cpu()));
+      Fold(static_cast<uint64_t>(promised.memory()));
+      over = !promised.FitsIn(machine.capacity);
     }
+    Sustained("agent-overcommit:" + mtag, over, kOvercommitGrace, now,
+              "agent on machine " + std::to_string(machine.id.value()) +
+                  " holds capacity " + promised.ToString() +
+                  " above physical " + machine.capacity.ToString());
 
-    if (shards > 1 && options_.check_shard_isolation) {
+    if (shards > 1) {
       // Fault-domain isolation: only the owning shard's scheduler may
       // have this machine online. A foreign shard granting here would
       // double-book the machine globally while every per-shard
@@ -294,7 +280,7 @@ void InvariantMonitor::HeavyChecks(double now) {
         }
       }
       Sustained("shard-isolation:" + mtag, foreign >= 0,
-                options_.split_brain_grace, now,
+                kSplitBrainGrace, now,
                 "machine " + std::to_string(machine.id.value()) +
                     " owned by shard " + std::to_string(owner) +
                     " is online in shard " + std::to_string(foreign) +
@@ -303,8 +289,7 @@ void InvariantMonitor::HeavyChecks(double now) {
 
     size_t alive = host->alive_count();
     Fold(alive);
-    if (options_.check_halted_machines &&
-        cluster_->machine_halted(machine.id) && alive > 0) {
+    if (cluster_->machine_halted(machine.id) && alive > 0) {
       // Instantaneous: HaltMachine kills every process synchronously,
       // so any survivor was resurrected on a dead machine.
       Record(now, "halted-machine-processes",
@@ -312,7 +297,7 @@ void InvariantMonitor::HeavyChecks(double now) {
                  " hosts " + std::to_string(alive) + " live processes");
     }
 
-    if (options_.check_orphan_processes && app_live_) {
+    if (app_live_) {
       std::map<AppId, std::string> dead_app_processes;
       for (const agent::Process* process : host->Alive()) {
         if (!app_live_(process->app)) {
@@ -334,7 +319,7 @@ void InvariantMonitor::HeavyChecks(double now) {
                << workers;
         Sustained(
             "orphan-processes:" + mtag + ":app" + std::to_string(app.value()),
-            primary != nullptr, options_.orphan_grace, now, detail.str());
+            primary != nullptr, orphan_grace_, now, detail.str());
       }
       // Clear sustained trackers for apps that no longer have strays.
       for (auto it = pending_.begin(); it != pending_.end();) {

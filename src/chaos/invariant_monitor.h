@@ -20,48 +20,6 @@ struct Violation {
   std::string detail;
 };
 
-struct InvariantMonitorOptions {
-  /// Minimum virtual time between heavy sweeps (full scheduler audit,
-  /// per-machine capacity/process scans). Cheap checks (primary count,
-  /// generation monotonicity) run after *every* simulator event.
-  double heavy_check_interval = 0.25;
-  /// Cross-component views are eventually consistent: a condition that
-  /// involves more than one component (two masters both believing they
-  /// are primary for an instant between lease expiry and renewal, an
-  /// agent capacity table that a corrective delta has not reached yet)
-  /// only counts as a violation when it persists beyond these windows.
-  double split_brain_grace = 5.0;
-  /// Must stay below the agent's periodic allocation-report repair
-  /// interval, or real double-grant bugs get silently repaired before
-  /// they count as sustained.
-  double overcommit_grace = 6.0;
-  /// Must exceed the agent/master reconcile period (allocation report
-  /// every ~10 heartbeats): a process whose stop request was lost is
-  /// legitimately reaped only on the next reconcile.
-  double orphan_grace = 15.0;
-  bool check_single_primary = true;
-  bool check_generation_monotonic = true;
-  bool check_scheduler_conservation = true;
-  bool check_blacklist_cap = true;
-  bool check_agent_overcommit = true;
-  bool check_halted_machines = true;
-  bool check_orphan_processes = true;
-  /// Sharded clusters only: a machine must never be online in a shard
-  /// scheduler other than its owner's (fault-domain isolation — a
-  /// foreign shard granting on the machine double-books it globally
-  /// even when every per-shard conservation audit passes).
-  bool check_shard_isolation = true;
-  /// fuxi::planner invariants (trivially true when no planner is live,
-  /// so legacy campaigns and their golden digests are untouched):
-  /// the scheduled-point timelines never admit overcommit at any future
-  /// point, and an unstarted gang holds zero grants on any member.
-  bool check_planner_overcommit = true;
-  bool check_gang_atomicity = true;
-  /// Stop recording after this many violations (one bad invariant can
-  /// otherwise flood the report every heavy sweep).
-  size_t max_violations = 64;
-};
-
 /// Hooks the cluster's simulator and checks cross-component safety
 /// invariants continuously — after every event transition, not just at
 /// test checkpoints — so a campaign failure points at the exact virtual
@@ -76,6 +34,13 @@ struct InvariantMonitorOptions {
 ///   * the blacklist never exceeds blacklist_cap_fraction
 ///   * a halted machine hosts no live processes, and no process
 ///     outlives its application past the reconcile grace (orphans)
+///   * sharded clusters: a machine is online only in its owner shard's
+///     scheduler (a foreign shard granting there double-books it even
+///     when every per-shard audit passes), and the federation never
+///     grants more than the online machines have
+///   * planner timelines never admit overcommit at any future point,
+///     and an unstarted gang holds no grants (trivially true when no
+///     planner is live)
 /// External liveness conditions (eventual job completion once faults
 /// cease) are reported through Report() so everything lands in one
 /// violation list.
@@ -86,8 +51,37 @@ class InvariantMonitor {
   /// is skipped.
   using AppLiveness = std::function<bool(AppId)>;
 
-  explicit InvariantMonitor(runtime::SimCluster* cluster,
-                            InvariantMonitorOptions options = {});
+  /// Minimum virtual time between heavy sweeps (full scheduler audit,
+  /// per-machine capacity/process scans). Cheap checks (primary count,
+  /// generation monotonicity) run after *every* simulator event.
+  static constexpr double kHeavyCheckInterval = 0.25;
+  /// Cross-component views are eventually consistent: a condition that
+  /// involves more than one component (two masters both believing they
+  /// are primary for an instant between lease expiry and renewal, an
+  /// agent capacity table that a corrective delta has not reached yet)
+  /// only counts as a violation when it persists beyond these windows.
+  static constexpr double kSplitBrainGrace = 5.0;
+  /// Must stay below the agent's periodic allocation-report repair
+  /// interval, or real double-grant bugs get silently repaired before
+  /// they count as sustained.
+  static constexpr double kOvercommitGrace = 6.0;
+  /// Must exceed the agent/master reconcile period (allocation report
+  /// every ~10 heartbeats): a process whose stop request was lost is
+  /// legitimately reaped only on the next reconcile.
+  static constexpr double kOrphanGrace = 15.0;
+  /// Sharded clusters: a shard crash-loop can swallow an app's
+  /// FinishApp. The recovering primary resurrects the app from its
+  /// checkpoint and only repairs it via the silent-AM restart
+  /// (FuxiMaster::kAppMasterTimeout); the restarted AM re-finishes and
+  /// releases the stray workers. The orphan grace must cover that whole
+  /// repair path, not just the master→agent revocation hop.
+  static constexpr double kShardedOrphanGrace =
+      master::FuxiMaster::kAppMasterTimeout + 10.0;
+  /// Stop recording after this many violations (one bad invariant can
+  /// otherwise flood the report every heavy sweep).
+  static constexpr size_t kMaxViolations = 64;
+
+  explicit InvariantMonitor(runtime::SimCluster* cluster);
   ~InvariantMonitor();
 
   InvariantMonitor(const InvariantMonitor&) = delete;
@@ -149,7 +143,8 @@ class InvariantMonitor {
   void FoldTime(double value);
 
   runtime::SimCluster* cluster_;
-  InvariantMonitorOptions options_;
+  /// kOrphanGrace, or kShardedOrphanGrace on a sharded cluster.
+  double orphan_grace_;
   AppLiveness app_live_;
   bool installed_ = false;
   double last_heavy_ = -1e18;

@@ -14,11 +14,9 @@ namespace fuxi {
 ///   base(n)  = min(initial * multiplier^n, max_delay)
 ///   delay(n) = base(n) * (1 +/- jitter)     (uniform in the band)
 ///
-/// With multiplier = 1 and jitter = 0 this degenerates to the legacy
-/// fixed-interval retry loop — the default every replay-pinned caller
-/// (ResourceClient) uses, so golden campaign hashes stay byte-identical.
-/// Routers and other thundering-herd-prone callers override it with a
-/// genuinely exponential, jittered policy.
+/// With multiplier = 1 and jitter = 0 (the defaults) this degenerates to
+/// a fixed-interval retry loop. Thundering-herd-prone callers such as
+/// the submission router use a genuinely exponential, jittered policy.
 struct BackoffPolicy {
   double initial = 1.0;     ///< first retry delay, virtual seconds
   double multiplier = 1.0;  ///< growth per attempt (>= 1)

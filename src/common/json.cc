@@ -48,7 +48,7 @@ class Parser {
   }
 
   Status ParseValue(Json* out) {
-    if (++depth_ > kMaxDepth) return Error("nesting too deep");
+    if (++depth_ > Json::kMaxDepth) return Error("nesting too deep");
     Status s = ParseValueInner(out);
     --depth_;
     return s;
@@ -237,8 +237,6 @@ class Parser {
     *out = Json(d);
     return Status::Ok();
   }
-
-  static constexpr int kMaxDepth = 200;
 
   std::string_view text_;
   size_t pos_ = 0;

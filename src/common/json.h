@@ -2,6 +2,7 @@
 #define FUXI_COMMON_JSON_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -47,7 +48,15 @@ class Json {
 
   bool as_bool() const { return bool_; }
   double as_number() const { return number_; }
-  int64_t as_int() const { return static_cast<int64_t>(number_); }
+  /// Truncates toward zero, saturating outside the int64 range: text
+  /// such as 1e300 or 1e999 (infinity) parses as a number, and a plain
+  /// cast of it would be undefined.
+  int64_t as_int() const {
+    constexpr double kTwo63 = 9223372036854775808.0;
+    if (number_ >= kTwo63) return std::numeric_limits<int64_t>::max();
+    if (!(number_ >= -kTwo63)) return std::numeric_limits<int64_t>::min();
+    return static_cast<int64_t>(number_);
+  }
   const std::string& as_string() const { return string_; }
   const Array& as_array() const { return array_; }
   Array& as_array() { return array_; }
@@ -88,6 +97,9 @@ class Json {
 
   /// Parses JSON text. Errors report byte offsets.
   static Result<Json> Parse(std::string_view text);
+  /// Parse rejects arrays/objects nested deeper than this, so hostile
+  /// input cannot exhaust the stack.
+  static constexpr int kMaxDepth = 200;
 
   friend bool operator==(const Json& a, const Json& b);
 

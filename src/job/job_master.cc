@@ -86,7 +86,7 @@ void JobMaster::StartMaster() {
   client_->Start(&endpoint_);
   LaunchRunnableTasks();
   uint64_t life = life_;
-  cluster_->sim().Schedule(options_.backup_check_interval, [this, life] {
+  cluster_->sim().Schedule(kBackupCheckInterval, [this, life] {
     if (running_ && life == life_) BackupTick();
   });
 }
@@ -129,7 +129,7 @@ void JobMaster::RestartMaster() {
     LaunchRunnableTasks();
   });
   uint64_t life = life_;
-  cluster_->sim().Schedule(options_.backup_check_interval, [this, life] {
+  cluster_->sim().Schedule(kBackupCheckInterval, [this, life] {
     if (running_ && life == life_) BackupTick();
   });
 }
@@ -407,8 +407,8 @@ void JobMaster::OnInstanceDone(const InstanceDoneRpc& rpc) {
     // Job-level health estimation (§4.3.2): a machine whose instances
     // repeatedly run far slower than the task average is a sick node.
     double avg = task->AverageDoneDuration();
-    if (task->done_count() >= options_.slow_min_samples && avg > 0 &&
-        rpc.elapsed > options_.slow_instance_factor * avg) {
+    if (task->done_count() >= kSlowMinSamples && avg > 0 &&
+        rpc.elapsed > kSlowInstanceFactor * avg) {
       if (task->RecordSlowness(rpc.machine)) {
         HandleTaskBlacklist(task, rpc.machine);
       }
@@ -674,7 +674,7 @@ void JobMaster::BackupTick() {
   for (auto& task : tasks_) {
     if (!task->launched || task->complete()) continue;
     for (WorkerId silent :
-         task->SilentWorkers(now, options_.worker_silence_timeout)) {
+         task->SilentWorkers(now, kWorkerSilenceTimeout)) {
       auto removed = task->RemoveWorker(silent, /*count_as_failure=*/true);
       stopped_workers_.insert(silent);
       if (removed.ok()) {
@@ -703,7 +703,7 @@ void JobMaster::BackupTick() {
     }
   }
   uint64_t life = life_;
-  cluster_->sim().Schedule(options_.backup_check_interval, [this, life] {
+  cluster_->sim().Schedule(kBackupCheckInterval, [this, life] {
     if (running_ && life == life_) BackupTick();
   });
 }
@@ -711,14 +711,14 @@ void JobMaster::BackupTick() {
 void JobMaster::MarkSnapshotDirty() {
   snapshot_dirty_ = true;
   double now = cluster_->sim().Now();
-  if (now - last_snapshot_at_ >= options_.snapshot_min_interval) {
+  if (now - last_snapshot_at_ >= kSnapshotMinInterval) {
     WriteSnapshot();
     return;
   }
   if (!snapshot_timer_armed_) {
     snapshot_timer_armed_ = true;
     uint64_t life = life_;
-    cluster_->sim().Schedule(options_.snapshot_min_interval, [this, life] {
+    cluster_->sim().Schedule(kSnapshotMinInterval, [this, life] {
       snapshot_timer_armed_ = false;
       if (running_ && life == life_ && snapshot_dirty_) WriteSnapshot();
     });

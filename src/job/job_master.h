@@ -21,29 +21,19 @@ struct JobMasterOptions {
   /// Distinct instances that must fail on a machine before the *task*
   /// blacklists it (§4.3.2's bottom-up job-level blacklist).
   int task_blacklist_threshold = 2;
-  /// Instances that must run `slow_instance_factor`x slower than the
-  /// task average on a machine before it is treated as a slow/bad node.
+  /// Instances that must run JobMaster::kSlowInstanceFactor x slower
+  /// than the task average on a machine before it is treated as a
+  /// slow/bad node.
   int slow_instance_threshold = 2;
-  double slow_instance_factor = 3.0;
-  /// Minimum completed instances before slowness judgements are made.
-  int64_t slow_min_samples = 10;
   /// Tasks that must blacklist a machine before the *job* blacklists it
   /// and reports it to FuxiMaster for cross-job judgement.
   int job_blacklist_threshold = 2;
-  /// Cadence of the long-tail / backup-instance check.
-  double backup_check_interval = 2.0;
-  /// A worker silent for this long is presumed dead and its instance
-  /// requeued (the TaskWorker status stream doubles as its heartbeat).
-  double worker_silence_timeout = 7.0;
   /// Fraction of instances that must be done before backups launch
   /// (criterion 1, §4.3.2).
   double backup_done_fraction = 0.9;
   /// How many times slower than the average done-instance duration a
   /// running instance must be (criterion 2).
   double backup_slowdown_factor = 2.0;
-  /// Minimum spacing between instance-status snapshot writes; the
-  /// snapshot is event-driven but throttled.
-  double snapshot_min_interval = 0.5;
   /// Window of the pending queue scanned for a locality match when
   /// dispatching to an idle worker.
   size_t locality_scan_window = 32;
@@ -228,6 +218,21 @@ class JobMaster {
   };
 
   using DoneCallback = std::function<void(JobMaster*)>;
+
+  /// How many times slower than the task average an instance must run
+  /// to count toward JobMasterOptions::slow_instance_threshold.
+  static constexpr double kSlowInstanceFactor = 3.0;
+  /// Minimum completed instances before slowness judgements are made.
+  static constexpr int64_t kSlowMinSamples = 10;
+  /// Cadence of the long-tail / backup-instance check (virtual seconds).
+  static constexpr double kBackupCheckInterval = 2.0;
+  /// A worker silent for this long is presumed dead and its instance
+  /// requeued (the TaskWorker status stream doubles as its heartbeat,
+  /// so this must exceed TaskWorker::kStatusInterval).
+  static constexpr double kWorkerSilenceTimeout = 7.0;
+  /// Minimum spacing between instance-status snapshot writes; the
+  /// snapshot is event-driven but throttled.
+  static constexpr double kSnapshotMinInterval = 0.5;
 
   JobMaster(runtime::SimCluster* cluster, AppId app, JobDescription desc,
             uint64_t seed, JobMasterOptions options = JobMasterOptions());

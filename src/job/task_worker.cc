@@ -102,7 +102,7 @@ void TaskWorker::StatusTick() {
   if (!alive_) return;
   SendStatus();
   // The handle is cancelled on Kill so no callback outlives the worker.
-  status_timer_ = After(options_.status_interval, [this] { StatusTick(); });
+  status_timer_ = After(kStatusInterval, [this] { StatusTick(); });
 }
 
 void TaskWorker::SendStatus() {

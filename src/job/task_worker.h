@@ -23,9 +23,9 @@ namespace fuxi::job {
 /// SlowMachine fault injection manifests.
 class TaskWorker : public sim::Actor {
  public:
-  struct Options {
-    double status_interval = 2.0;
-  };
+  /// Cadence of the status report to the JobMaster (virtual seconds);
+  /// the report doubles as the worker's heartbeat.
+  static constexpr double kStatusInterval = 2.0;
 
   TaskWorker(runtime::SimCluster* cluster, AppId app, std::string task,
              WorkerId worker, MachineId machine, NodeId self,
@@ -60,7 +60,6 @@ class TaskWorker : public sim::Actor {
   NodeId self_;
   NodeId am_node_;
   Rng rng_;
-  Options options_;
 
   bool alive_ = false;
   net::Endpoint endpoint_;

@@ -137,7 +137,7 @@ void FuxiMaster::Restart() {
 void FuxiMaster::TryBecomePrimary() {
   if (!alive_ || primary_) return;
   Status acquired = locks_->TryAcquire(lock_name_, self_,
-                                       options_.lock_lease);
+                                       kLockLease);
   if (acquired.ok()) {
     BecomePrimary();
     return;
@@ -163,10 +163,7 @@ void FuxiMaster::BecomePrimary() {
                   << " became primary, generation " << generation_;
   if (elections_counter_ != nullptr) elections_counter_->Add();
 
-  resource::SchedulerOptions scheduler_options = options_.scheduler;
-  scheduler_options.starvation_age_after = options_.starvation_age_after;
-  scheduler_ = std::make_unique<resource::Scheduler>(topology_,
-                                                     scheduler_options);
+  scheduler_ = std::make_unique<resource::Scheduler>(topology_);
   if (obs_ != nullptr) {
     scheduler_->set_metrics(&obs_->metrics);
     scheduler_->set_audit(&obs_->audit);
@@ -188,13 +185,13 @@ void FuxiMaster::BecomePrimary() {
   SyncStateGauges();
 
   uint64_t life = life_;
-  After(options_.lock_renew_every, [this, life] {
+  After(kLockRenewEvery, [this, life] {
     if (alive_ && life == life_ && primary_) RenewLease();
   });
-  After(options_.monitor_interval, [this, life] {
+  After(kMonitorInterval, [this, life] {
     if (alive_ && life == life_ && primary_) MonitorTick();
   });
-  After(options_.rollup_interval, [this, life] {
+  After(kRollupInterval, [this, life] {
     if (alive_ && life == life_ && primary_) RollupTick();
   });
   // Federated mode: announce the new primary to the shard directory
@@ -228,7 +225,7 @@ void FuxiMaster::SyncStateGauges() {
 }
 
 void FuxiMaster::RenewLease() {
-  Status s = locks_->Renew(lock_name_, self_, options_.lock_lease);
+  Status s = locks_->Renew(lock_name_, self_, kLockLease);
   if (!s.ok()) {
     FUXI_LOG(kWarning) << "FuxiMaster node " << self_.value()
                        << " lost the master lock: " << s.ToString();
@@ -236,7 +233,7 @@ void FuxiMaster::RenewLease() {
     return;
   }
   uint64_t life = life_;
-  After(options_.lock_renew_every, [this, life] {
+  After(kLockRenewEvery, [this, life] {
     if (alive_ && life == life_ && primary_) RenewLease();
   });
 }
@@ -770,12 +767,12 @@ void FuxiMaster::OnBadMachineReport(const net::Envelope& env,
 void FuxiMaster::MonitorTick() {
   for (auto& [machine, agent] : agents_) {
     if (!agent.online) continue;
-    if (Now() - agent.last_heartbeat > options_.heartbeat_timeout) {
+    if (Now() - agent.last_heartbeat > kHeartbeatTimeout) {
       MarkMachineDown(machine, "heartbeat timeout");
     }
   }
   uint64_t life = life_;
-  After(options_.monitor_interval, [this, life] {
+  After(kMonitorInterval, [this, life] {
     if (alive_ && life == life_ && primary_) MonitorTick();
   });
 }
@@ -784,9 +781,9 @@ void FuxiMaster::RollupTick() {
   // Health-score based disabling (plugin scheme, §4.3.2).
   for (auto& [machine, agent] : agents_) {
     if (!agent.online) continue;
-    if (agent.health_ewma < options_.health_disable_threshold) {
+    if (agent.health_ewma < kHealthDisableThreshold) {
       if (agent.unhealthy_since < 0) agent.unhealthy_since = Now();
-      if (Now() - agent.unhealthy_since >= options_.health_disable_after) {
+      if (Now() - agent.unhealthy_since >= kHealthDisableAfter) {
         DisableMachine(machine, "sustained low health score");
       }
     } else {
@@ -799,7 +796,7 @@ void FuxiMaster::RollupTick() {
   // the lower machine id for determinism.
   std::vector<std::pair<size_t, MachineId>> eligible;
   for (const auto& [machine, votes] : blacklist_votes_) {
-    if (static_cast<int>(votes.size()) >= options_.blacklist_votes &&
+    if (static_cast<int>(votes.size()) >= kBlacklistVotes &&
         blacklist_.count(machine) == 0) {
       eligible.emplace_back(votes.size(), machine);
     }
@@ -813,15 +810,6 @@ void FuxiMaster::RollupTick() {
     DisableMachine(machine, "blacklisted by " + std::to_string(votes) +
                                 " apps");
   }
-  // Starvation guard: long-waiting demands get an aging boost (heavy
-  // non-urgent work, handled in the roll-up like quota adjustment).
-  if (options_.starvation_age_after > 0) {
-    scheduler_->AgeWaitingDemands(Now());
-    for (resource::SchedulingResult& result :
-         scheduler_->TakeAgedResults()) {
-      Dispatch(result);
-    }
-  }
   // Planner pass (fuxi::planner, DESIGN.md §12): advance virtual time,
   // convert due reservations into grants, plan new reservations/gangs.
   // The planner is lazily built and stays null without planning-hinted
@@ -833,7 +821,7 @@ void FuxiMaster::RollupTick() {
   }
   // Application-master liveness: restart silent AMs.
   for (auto& [app, record] : apps_) {
-    if (Now() - record.last_contact > options_.app_master_timeout) {
+    if (Now() - record.last_contact > kAppMasterTimeout) {
       for (const auto& [machine, agent] : agents_) {
         if (!agent.online || blacklist_.count(machine) > 0) continue;
         FUXI_LOG(kInfo) << "restarting application master for app "
@@ -847,7 +835,7 @@ void FuxiMaster::RollupTick() {
     }
   }
   uint64_t life = life_;
-  After(options_.rollup_interval, [this, life] {
+  After(kRollupInterval, [this, life] {
     if (alive_ && life == life_ && primary_) RollupTick();
   });
 }
@@ -872,7 +860,7 @@ void FuxiMaster::SendShardStatus() {
     network_->Send(self_, replica, rpc);
   }
   uint64_t life = life_;
-  After(options_.shard_status_interval, [this, life] {
+  After(kShardStatusInterval, [this, life] {
     if (alive_ && life == life_ && primary_) SendShardStatus();
   });
 }

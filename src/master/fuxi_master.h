@@ -22,31 +22,12 @@
 
 namespace fuxi::master {
 
-/// Tuning knobs for FuxiMaster. Times are virtual seconds.
+/// Per-cluster FuxiMaster configuration: only the values callers set
+/// differently live here; fixed timings are FuxiMaster::k* constants.
 struct FuxiMasterOptions {
-  double lock_lease = 10.0;        ///< hot-standby lease duration
-  double lock_renew_every = 3.0;
-  double heartbeat_timeout = 4.0;  ///< agent silence before node-down
-  double monitor_interval = 1.0;   ///< heartbeat/health check cadence
-  /// Heavy, non-urgent work (health scoring roll-up, blacklist review)
-  /// runs at this fixed interval — the paper's prioritized request
-  /// handling (§3.4): urgent events are processed immediately, the rest
-  /// in batch.
-  double rollup_interval = 10.0;
-  double health_disable_threshold = 0.3;
-  double health_disable_after = 20.0;  ///< sustained low score duration
-  /// Distinct JobMasters that must mark a machine bad before the
-  /// cluster blacklists it (§4.3.2).
-  int blacklist_votes = 3;
   /// Upper bound on the blacklisted fraction of the cluster, to stop
   /// blacklist abuse from draining the cluster.
   double blacklist_cap_fraction = 0.1;
-  /// Application-master silence before FuxiMaster starts a new one
-  /// (the AM heartbeat of §4.3.1; the periodic full-state reconcile
-  /// doubles as the heartbeat).
-  double app_master_timeout = 20.0;
-  /// Starvation aging period fed to the scheduler (0 = disabled).
-  double starvation_age_after = 0;
   /// Chaos-testing fault: when false, a newly elected primary opens
   /// machines for scheduling WITHOUT restoring the grants their agents
   /// report (skipping the Figure 7 soft-state rebuild). This reproduces
@@ -64,7 +45,6 @@ struct FuxiMasterOptions {
     int64_t preemption_budget = -1;  ///< units one sweep may revoke; -1 = ∞
   };
   std::vector<TenantNode> tenants;
-  resource::SchedulerOptions scheduler;
 
   // --- federation (fuxi::shard) -----------------------------------------
   // All defaults preserve legacy single-master behaviour byte-for-byte.
@@ -84,7 +64,6 @@ struct FuxiMasterOptions {
   /// Shard-directory replicas to push ShardStatusRpc to (empty = none,
   /// the single-master case).
   std::vector<NodeId> directory_replicas;
-  double shard_status_interval = 1.0;
 };
 
 /// The central resource manager (paper §2.2, §3): matches application
@@ -100,6 +79,31 @@ struct FuxiMasterOptions {
 class FuxiMaster : public sim::Actor {
  public:
   static constexpr const char* kMasterLock = "fuxi_master";
+
+  // Fixed timings and thresholds. Times are virtual seconds.
+  static constexpr double kLockLease = 10.0;  ///< hot-standby lease duration
+  static constexpr double kLockRenewEvery = 3.0;
+  /// Agent silence before node-down.
+  static constexpr double kHeartbeatTimeout = 4.0;
+  /// Heartbeat/health check cadence.
+  static constexpr double kMonitorInterval = 1.0;
+  /// Heavy, non-urgent work (health scoring roll-up, blacklist review)
+  /// runs at this fixed interval — the paper's prioritized request
+  /// handling (§3.4): urgent events are processed immediately, the rest
+  /// in batch.
+  static constexpr double kRollupInterval = 10.0;
+  static constexpr double kHealthDisableThreshold = 0.3;
+  /// Sustained low score duration before a machine is disabled.
+  static constexpr double kHealthDisableAfter = 20.0;
+  /// Distinct JobMasters that must mark a machine bad before the
+  /// cluster blacklists it (§4.3.2).
+  static constexpr int kBlacklistVotes = 3;
+  /// Application-master silence before FuxiMaster starts a new one
+  /// (the AM heartbeat of §4.3.1; the periodic full-state reconcile
+  /// doubles as the heartbeat).
+  static constexpr double kAppMasterTimeout = 20.0;
+  /// Cadence of ShardStatusRpc pushes to the shard directory.
+  static constexpr double kShardStatusInterval = 1.0;
 
   FuxiMaster(sim::Simulator* simulator, net::Network* network,
              coord::LockService* locks, coord::CheckpointStore* checkpoint,

@@ -36,16 +36,7 @@ ResourceClient::ResourceClient(sim::Simulator* simulator,
       options_(std::move(options)),
       master_lock_(options_.master_lock.empty() ? FuxiMaster::kMasterLock
                                                 : options_.master_lock),
-      incarnation_(incarnation),
-      // Jitter seeds derived from stable identity so replays of the
-      // same (app, node) produce the same retry schedule.
-      resync_backoff_(options_.retry_backoff,
-                      (static_cast<uint64_t>(app.value()) << 20) ^
-                          static_cast<uint64_t>(self.value()) ^
-                          0x9E3779B97F4A7C15ull),
-      flush_backoff_(options_.retry_backoff,
-                     (static_cast<uint64_t>(app.value()) << 20) ^
-                         static_cast<uint64_t>(self.value())) {}
+      incarnation_(incarnation) {}
 
 void ResourceClient::Start(net::Endpoint* endpoint) {
   FUXI_CHECK(!running_);
@@ -67,7 +58,7 @@ void ResourceClient::Start(net::Endpoint* endpoint) {
         }
       });
   uint64_t life = life_;
-  sim_->Schedule(options_.full_sync_interval, [this, life] {
+  sim_->Schedule(kFullSyncInterval, [this, life] {
     if (running_ && life == life_) PeriodicSync();
   });
 }
@@ -76,7 +67,6 @@ void ResourceClient::StartRecovering(net::Endpoint* endpoint,
                                      std::function<void()> on_snapshot) {
   recovering_ = true;
   on_snapshot_ = std::move(on_snapshot);
-  resync_backoff_.Reset();
   Start(endpoint);
   // Ask the master for the authoritative grant snapshot; retry until a
   // primary is reachable and the snapshot arrives.
@@ -97,7 +87,7 @@ void ResourceClient::SendRecoveryResync() {
   uint64_t life = life_;
   ++retries_scheduled_;
   if (resync_retry_counter_ != nullptr) resync_retry_counter_->Add();
-  sim_->Schedule(resync_backoff_.NextDelay(), [this, life] {
+  sim_->Schedule(kRetryInterval, [this, life] {
     if (running_ && life == life_ && recovering_) SendRecoveryResync();
   });
 }
@@ -214,7 +204,7 @@ void ResourceClient::Flush() {
   if (!pending_dirty_ && !need_full_sync_) return;
   NodeId primary = CurrentMaster();
   if (!primary.valid()) {
-    // No elected master right now; retry on the backoff schedule.
+    // No elected master right now; retry after kRetryInterval.
     if (!retry_scheduled_) {
       retry_scheduled_ = true;
       uint64_t life = life_;
@@ -222,7 +212,7 @@ void ResourceClient::Flush() {
       if (no_master_retry_counter_ != nullptr) {
         no_master_retry_counter_->Add();
       }
-      sim_->Schedule(flush_backoff_.NextDelay(), [this, life] {
+      sim_->Schedule(kRetryInterval, [this, life] {
         if (running_ && life == life_) {
           retry_scheduled_ = false;
           Flush();
@@ -231,7 +221,6 @@ void ResourceClient::Flush() {
     }
     return;
   }
-  flush_backoff_.Reset();
   if (primary != known_master_) {
     // New primary: our delta stream and its grant stream both restart.
     known_master_ = primary;
@@ -361,7 +350,6 @@ void ResourceClient::ApplyGrantMessage(const resource::GrantMessage& msg,
     }
     if (recovering_) {
       recovering_ = false;
-      resync_backoff_.Reset();
       if (on_snapshot_) on_snapshot_();
     }
     return;
@@ -403,7 +391,7 @@ void ResourceClient::PeriodicSync() {
   need_full_sync_ = true;
   Flush();
   uint64_t life = life_;
-  sim_->Schedule(options_.full_sync_interval, [this, life] {
+  sim_->Schedule(kFullSyncInterval, [this, life] {
     if (running_ && life == life_) PeriodicSync();
   });
 }

@@ -7,7 +7,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "common/backoff.h"
 #include "common/ids.h"
 #include "coord/lock_service.h"
 #include "master/messages.h"
@@ -27,14 +26,6 @@ namespace fuxi::master {
 /// new primary, and runs the periodic full-state safety sync that also
 /// doubles as the application-master heartbeat.
 struct ResourceClientOptions {
-  double full_sync_interval = 8.0;  ///< periodic reconcile/heartbeat
-  /// Retry schedule when no primary is electable (and for the recovery
-  /// resync loop). The default — fixed 1 s, multiplier 1, zero jitter —
-  /// reproduces the legacy fixed-interval loop exactly; the golden
-  /// chaos replays pin those retry event times, so do not change it for
-  /// single-master clusters. The submission router overrides it with a
-  /// genuinely exponential, jittered policy.
-  BackoffPolicy retry_backoff{1.0, 1.0, 30.0, 0.0};
   /// Lease whose holder is "the master" for this client. Empty means
   /// FuxiMaster::kMasterLock (single-master clusters); sharded clusters
   /// bind each application to its shard's election lock.
@@ -44,6 +35,13 @@ struct ResourceClientOptions {
 class ResourceClient {
  public:
   using Options = ResourceClientOptions;
+
+  /// Periodic full-state reconcile, which doubles as the AM heartbeat
+  /// (virtual seconds; must stay below FuxiMaster::kAppMasterTimeout).
+  static constexpr double kFullSyncInterval = 8.0;
+  /// Retry interval when no primary is electable, and for the recovery
+  /// resync loop. The golden chaos replays pin those retry event times.
+  static constexpr double kRetryInterval = 1.0;
 
   /// Called for every grant change: `delta` > 0 means `count` new units
   /// on `machine`; < 0 means revocation, with `reason` explaining why.
@@ -182,8 +180,6 @@ class ResourceClient {
   uint64_t full_syncs_sent_ = 0;
   uint64_t deltas_sent_ = 0;
 
-  Backoff resync_backoff_;
-  Backoff flush_backoff_;
   uint64_t retries_scheduled_ = 0;
   obs::Counter* resync_retry_counter_ = nullptr;
   obs::Counter* no_master_retry_counter_ = nullptr;

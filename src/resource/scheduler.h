@@ -220,10 +220,11 @@ class Scheduler {
   /// Passes answered from the epoch check without walking the queues.
   uint64_t passes_skipped() const { return passes_skipped_; }
 
-  /// Starvation-aging sweep (invoked from FuxiMaster's roll-up tick,
-  /// §3.4's batched non-urgent work): demands waiting longer than
-  /// `starvation_age_after` get an effective-priority bump so they stop
-  /// losing every tie. Returns how many demands were boosted.
+  /// Starvation-aging sweep, driven by the caller (FuxiMaster runs the
+  /// default options, aging off, and never calls it): demands waiting
+  /// longer than `starvation_age_after` get an effective-priority bump
+  /// so they stop losing every tie. Returns how many demands were
+  /// boosted.
   size_t AgeWaitingDemands(double now);
 
   /// Grants produced by the last aging sweep, to be dispatched by the

@@ -80,7 +80,7 @@ SimCluster::SimCluster(SimClusterOptions options)
       directories_.push_back(std::make_unique<shard::ShardDirectory>(
           &sim_, network_.get(), node));
     }
-    shard::RouterOptions router_options = options_.router;
+    shard::RouterOptions router_options;
     router_options.shards = options_.shards;
     router_options.directory = directory_nodes;
     router_options.seed = options_.seed ^ 0x5D111A6E5ull;

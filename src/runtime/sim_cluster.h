@@ -40,9 +40,6 @@ struct SimClusterOptions {
   int shards = 1;
   /// Shard-directory replica count (only used when shards > 1).
   int directory_replicas = 2;
-  /// Router tunables. `shards`, `directory` and `seed` are filled in by
-  /// SimCluster; set the rest (backoff, spill thresholds) here.
-  shard::RouterOptions router;
 };
 
 /// Assembles a complete simulated Fuxi cluster: the shared simulator,

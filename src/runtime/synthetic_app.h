@@ -78,12 +78,9 @@ class SyntheticApp {
   /// The protocol client (benchmarks read message counters off it).
   const master::ResourceClient* client() const { return client_.get(); }
 
-  /// Options for the protocol client (applied at the next (re)start).
-  /// Sharded clusters set `master_lock` here so the app follows its
+  /// Election lease the protocol client follows (applied at the next
+  /// (re)start). Sharded clusters set it so the app follows its
   /// assigned shard's primary instead of the default election lease.
-  void set_client_options(master::ResourceClientOptions options) {
-    client_options_ = std::move(options);
-  }
   void set_master_lock(const std::string& lock) {
     client_options_.master_lock = lock;
   }

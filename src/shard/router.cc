@@ -58,7 +58,7 @@ void SubmissionRouter::RefreshDirectory() {
     // Fail over when the active replica has been silent too long: a
     // partitioned replica answers nothing, so lookups stall until the
     // router rotates to the next one.
-    if (Now() - last_directory_reply_ > options_.directory_timeout) {
+    if (Now() - last_directory_reply_ > kDirectoryTimeout) {
       active_replica_ = (active_replica_ + 1) % options_.directory.size();
       last_directory_reply_ = Now();
       ++directory_failovers_;
@@ -71,7 +71,7 @@ void SubmissionRouter::RefreshDirectory() {
     lookup.request_id = next_request_id_++;
     network_->Send(self_, options_.directory[active_replica_], lookup);
   }
-  After(options_.directory_refresh, [this] { RefreshDirectory(); });
+  After(kDirectoryRefresh, [this] { RefreshDirectory(); });
 }
 
 void SubmissionRouter::OnDirectoryReply(const ShardDirectoryReplyRpc& rpc) {
@@ -91,7 +91,7 @@ bool SubmissionRouter::Healthy(int32_t shard) const {
   if (it == table_.end()) return false;
   const ShardEntry& e = it->second;
   if (!e.primary.valid()) return false;
-  return Now() - e.updated_at <= options_.status_stale_after;
+  return Now() - e.updated_at <= kStatusStaleAfter;
 }
 
 bool SubmissionRouter::Saturated(const ShardEntry& e) const {
@@ -102,7 +102,7 @@ bool SubmissionRouter::Saturated(const ShardEntry& e) const {
     if (total <= 0) continue;
     int64_t free = total - e.granted.Get(dim);
     if (static_cast<double>(free) <
-        options_.spill_free_fraction * static_cast<double>(total)) {
+        kSpillFreeFraction * static_cast<double>(total)) {
       return true;
     }
   }
@@ -162,8 +162,7 @@ void SubmissionRouter::AuditRoute(AppId app, int32_t shard,
 void SubmissionRouter::OnRouteSubmit(const RouteSubmitRpc& rpc) {
   auto it = pending_.find(rpc.app);
   if (it != pending_.end()) return;  // duplicate: routing is in progress
-  Pending pending(options_.submit_backoff,
-                  options_.seed ^ static_cast<uint64_t>(rpc.app.value()));
+  Pending pending(options_.seed ^ static_cast<uint64_t>(rpc.app.value()));
   pending.tenant_path = rpc.tenant_path;
   pending.weight = rpc.weight;
   pending.description = rpc.description;

@@ -14,22 +14,12 @@
 
 namespace fuxi::shard {
 
-/// Tuning knobs for the submission router. Times are virtual seconds.
+/// The federation shape the router serves; SimCluster fills it in.
 struct RouterOptions {
   int shards = 1;
   /// Directory replicas, tried in order; the router fails over to the
   /// next replica when the current one stops answering lookups.
   std::vector<NodeId> directory;
-  double directory_refresh = 0.5;    ///< table refresh cadence
-  double directory_timeout = 1.5;    ///< replica silence before failover
-  /// A shard whose directory row is older than this is treated as
-  /// mid-failover (its primary stopped reporting) and skipped.
-  double status_stale_after = 3.0;
-  /// A shard whose free share (per physical dimension) drops below this
-  /// fraction is saturated; submissions spill to a healthier shard.
-  double spill_free_fraction = 0.05;
-  /// Resubmission backoff while no shard has accepted the app.
-  BackoffPolicy submit_backoff{0.2, 2.0, 5.0, 0.3};
   uint64_t seed = 42;
 };
 
@@ -44,6 +34,20 @@ struct RouterOptions {
 /// until its election settles or a spill target absorbs them.
 class SubmissionRouter : public sim::Actor {
  public:
+  // Fixed timings and thresholds. Times are virtual seconds.
+  static constexpr double kDirectoryRefresh = 0.5;  ///< table refresh cadence
+  /// Replica silence before failover.
+  static constexpr double kDirectoryTimeout = 1.5;
+  /// A shard whose directory row is older than this is treated as
+  /// mid-failover (its primary stopped reporting) and skipped.
+  static constexpr double kStatusStaleAfter = 3.0;
+  /// A shard whose free share (per physical dimension) drops below this
+  /// fraction is saturated; submissions spill to a healthier shard.
+  static constexpr double kSpillFreeFraction = 0.05;
+  /// Resubmission backoff while no shard has accepted the app: jittered
+  /// exponential, so a shard outage does not trigger a retry herd.
+  static constexpr BackoffPolicy kSubmitBackoff{0.2, 2.0, 5.0, 0.3};
+
   SubmissionRouter(sim::Simulator* simulator, net::Network* network,
                    NodeId self, RouterOptions options);
 
@@ -77,8 +81,7 @@ class SubmissionRouter : public sim::Actor {
     uint64_t epoch = 0;     ///< invalidates stale retry timers
     Backoff backoff;
 
-    Pending(const BackoffPolicy& policy, uint64_t seed)
-        : backoff(policy, seed) {}
+    explicit Pending(uint64_t seed) : backoff(kSubmitBackoff, seed) {}
   };
 
   void OnRouteSubmit(const RouteSubmitRpc& rpc);

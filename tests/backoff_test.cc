@@ -7,9 +7,8 @@
 namespace fuxi {
 namespace {
 
-/// The default policy IS the legacy fixed-interval retry loop: every
-/// delay is exactly `initial`, forever. ResourceClient depends on this
-/// for byte-identical golden campaign hashes, so lock it down.
+/// The default policy is a fixed-interval retry loop: every delay is
+/// exactly `initial`, forever.
 TEST(BackoffTest, DefaultPolicyIsLegacyFixedInterval) {
   Backoff backoff{BackoffPolicy{}};
   for (int i = 0; i < 100; ++i) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "common/json.h"
@@ -8,6 +9,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/strings.h"
+#include "job/description.h"
 
 namespace fuxi {
 namespace {
@@ -190,6 +192,106 @@ TEST(JsonTest, DeepNestingIsRejectedNotCrashing) {
   std::string deep(500, '[');
   deep += std::string(500, ']');
   EXPECT_FALSE(Json::Parse(deep).ok());
+}
+
+TEST(JsonTest, OutOfRangeIntegersSaturate) {
+  auto json = Json::Parse(R"({"big": 1e300, "small": -1e999, "n": -7.9})");
+  ASSERT_TRUE(json.ok());
+  EXPECT_EQ(json->GetInt("big"), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(json->GetInt("small"), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(json->GetInt("n"), -7);
+}
+
+// Seeded mutations of a real job description through the whole decode
+// path (Json::Parse, then JobDescription::FromJson): every mutant must
+// come back as a value or an error Status, never an abort. The counts
+// at the end keep the test honest — both outcomes must occur at both
+// stages, or the mutations are not reaching the decoder.
+TEST(JsonTest, SeededMutationsNeverCrash) {
+  job::JobDescription desc;
+  desc.name = "etl";
+  desc.tenant_path = "org/team/user";
+  desc.tenant_weight = 2.5;
+  job::TaskConfig map;
+  map.name = "map";
+  map.instances = 400;
+  map.max_workers = 40;
+  map.unit = cluster::ResourceVector(150, 4096);
+  map.priority = 7;
+  map.instance_seconds = 3.25;
+  map.input_bytes_per_instance = 1 << 24;
+  map.input_file = "pangu://logs/2014-*";
+  map.backup_normal_seconds = 12.5;
+  map.estimated_seconds = 90;
+  job::TaskConfig reduce;
+  reduce.name = "reduce";
+  reduce.instances = 20;
+  reduce.max_workers = 20;
+  reduce.gang = true;
+  desc.tasks = {map, reduce};
+  desc.pipes.push_back({"", "map", "pangu://logs/2014-*"});
+  desc.pipes.push_back({"map", "reduce", ""});
+  desc.pipes.push_back({"reduce", "", "pangu://out/\"\u00e9\n"});
+  const std::string base = desc.ToJson().Dump();
+  ASSERT_TRUE(job::JobDescription::FromJson(*Json::Parse(base)).ok());
+
+  Rng rng(0x5EEDu);
+  auto pos = [&rng](const std::string& s) {
+    return static_cast<size_t>(rng.Uniform(s.size() + 1));
+  };
+  int parsed = 0, parse_errors = 0, decoded = 0, decode_errors = 0;
+  for (int i = 0; i < 4000; ++i) {
+    std::string text = base;
+    for (int m = 1 + static_cast<int>(rng.Uniform(3)); m > 0; --m) {
+      if (text.empty()) text = base;
+      size_t at = pos(text) % text.size();
+      switch (rng.Uniform(6)) {
+        case 0:  // flip one bit
+          text[at] = static_cast<char>(text[at] ^ (1 << rng.Uniform(8)));
+          break;
+        case 1:  // overwrite with an arbitrary byte
+          text[at] = static_cast<char>(rng.Uniform(256));
+          break;
+        case 2:  // delete a run
+          text.erase(at, 1 + rng.Uniform(16));
+          break;
+        case 3: {  // duplicate a run somewhere else
+          std::string run = text.substr(at, 1 + rng.Uniform(32));
+          text.insert(pos(text), run);
+          break;
+        }
+        case 4:  // truncate
+          text.resize(at);
+          break;
+        case 5: {  // nest past the parser's depth limit
+          size_t depth = Json::kMaxDepth + 1 + rng.Uniform(64);
+          std::string open;
+          for (size_t d = 0; d < depth; ++d) {
+            open += rng.Bernoulli(0.5) ? "[" : "{\"k\":";
+          }
+          text.insert(at, open);
+          break;
+        }
+      }
+    }
+    Result<Json> json = Json::Parse(text);
+    if (!json.ok()) {
+      ++parse_errors;
+      continue;
+    }
+    ++parsed;
+    Result<job::JobDescription> decoded_desc =
+        job::JobDescription::FromJson(*json);
+    if (decoded_desc.ok()) {
+      ++decoded;
+    } else {
+      ++decode_errors;
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(parse_errors, 0);
+  EXPECT_GT(decoded, 0);
+  EXPECT_GT(decode_errors, 0);
 }
 
 // --------------------------------------------------------------- Strings

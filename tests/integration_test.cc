@@ -124,7 +124,8 @@ TEST_F(IntegrationTest, MasterFailoverIsTransparentToRunningJob) {
   master::FuxiMaster* old_primary = cluster_.primary();
 
   cluster_.KillPrimaryMaster();
-  cluster_.RunFor(20.0);  // lease expiry + takeover + soft-state rebuild
+  // Lease expiry, then takeover and soft-state rebuild.
+  cluster_.RunFor(master::FuxiMaster::kLockLease + 10.0);
 
   master::FuxiMaster* new_primary = cluster_.primary();
   ASSERT_NE(new_primary, nullptr);
@@ -222,7 +223,7 @@ TEST_F(IntegrationTest, NodeDownMigratesWorkAutomatically) {
   ASSERT_TRUE(victim.valid());
   size_t victim_workers = cluster_.host(victim)->alive_count();
   cluster_.HaltMachine(victim);
-  // Heartbeat timeout (4s) + migration.
+  // FuxiMaster::kHeartbeatTimeout, then migration.
   cluster_.RunFor(15.0);
   EXPECT_EQ(app->running_workers(), 4)
       << "the " << victim_workers

@@ -152,7 +152,7 @@ TEST(ShardRouter, SpillsWhenHomeShardIsDown) {
       cluster.master(i)->Crash();
     }
   }
-  cluster.RunFor(4.0);  // > RouterOptions::status_stale_after
+  cluster.RunFor(SubmissionRouter::kStatusStaleAfter + 1.0);
 
   RouteClient client(&cluster);
   client.Submit(AppId(2));  // home shard = 2 % 2 = 0, which is dead
@@ -176,7 +176,8 @@ TEST(ShardRouter, RetriesUntilShardElectionSettles) {
 
   RouteClient client(&cluster);
   client.Submit(AppId(3));  // home shard = 1, mid-failover
-  cluster.RunFor(20.0);     // lease (10s) + election + retry backoff
+  // Lease expiry, then election and retry backoff.
+  cluster.RunFor(master::FuxiMaster::kLockLease + 10.0);
 
   ASSERT_TRUE(client.assigned.count(AppId(3)));
   EXPECT_EQ(cluster.router()->pending_count(), 0u);
@@ -188,8 +189,8 @@ TEST(ShardRouter, FailsOverBetweenDirectoryReplicas) {
   cluster.RunFor(3.0);
 
   // Cut the replica the router is currently polling; after
-  // directory_timeout of silence it must rotate to the other replica
-  // and keep its shard table fresh.
+  // SubmissionRouter::kDirectoryTimeout of silence it must rotate to the
+  // other replica and keep its shard table fresh.
   cluster.network().Partition(cluster.directory(0)->node());
   cluster.RunFor(5.0);
   EXPECT_GE(cluster.router()->directory_failovers(), 1u);
